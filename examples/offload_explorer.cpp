@@ -23,6 +23,10 @@
 //       [--serve=FILE] [--serve-threads=N] [--serve-repeat=K]
 //       [--trace=FILE] [--stats] [--audit=FILE] [--report]
 //
+// Every flag that takes a value accepts it as --flag=V or as --flag V.
+// Numbers are parsed strictly (no trailing junk, no sign on counts,
+// nothing out of range); a bad value is a usage error (exit 2).
+//
 // --serve replays a fleet request file through the compiled dispatch
 // index behind the multi-threaded DispatchService: each non-empty,
 // non-comment line holds one request as whitespace-separated runtime
@@ -59,23 +63,61 @@
 #include "runtime/SimTelemetry.h"
 #include "transform/Transform.h"
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 using namespace paco;
 
 namespace {
 
-std::vector<int64_t> parseList(const char *Text) {
-  std::vector<int64_t> Values;
-  std::stringstream List(Text);
-  std::string Item;
-  while (std::getline(List, Item, ','))
-    Values.push_back(std::strtoll(Item.c_str(), nullptr, 10));
-  return Values;
+/// Thread-count flags stop here: a typo must not ask the OS for
+/// billions of threads.
+constexpr unsigned kMaxThreads = 1024;
+
+/// Parses all of \p Text as one decimal number in [Lo, Hi] -- no blanks,
+/// no trailing junk, no '-' on unsigned types, no overflow -- or prints
+/// a one-line error naming \p Flag and returns false.
+template <typename T>
+bool parseNumber(const char *Flag, std::string_view Text, T &Out,
+                 T Lo = std::numeric_limits<T>::lowest(),
+                 T Hi = std::numeric_limits<T>::max()) {
+  T V{};
+  const char *End = Text.data() + Text.size();
+  auto [Stop, Err] = std::from_chars(Text.data(), End, V);
+  if (Err == std::errc() && Stop == End && Lo <= V && V <= Hi) {
+    Out = V;
+    return true;
+  }
+  std::string Want = !std::is_integral_v<T> ? "a number"
+                     : std::is_signed_v<T>  ? "an integer"
+                                            : "a non-negative integer";
+  if (Lo != std::numeric_limits<T>::lowest() ||
+      Hi != std::numeric_limits<T>::max())
+    Want = "an integer in [" + std::to_string(Lo) + ", " +
+           std::to_string(Hi) + "]";
+  std::fprintf(stderr, "error: %s wants %s, got '%.*s'\n", Flag, Want.c_str(),
+               static_cast<int>(Text.size()), Text.data());
+  return false;
+}
+
+/// Parses a comma-separated list of integers (empty text: no values).
+bool parseList(const char *Flag, std::string_view Text,
+               std::vector<int64_t> &Out) {
+  Out.clear();
+  while (!Text.empty()) {
+    size_t Comma = Text.find(',');
+    if (!parseNumber(Flag, Text.substr(0, Comma), Out.emplace_back()))
+      return false;
+    Text.remove_prefix(Comma == std::string_view::npos ? Text.size()
+                                                       : Comma + 1);
+  }
+  return true;
 }
 
 const char *adaptName(AdaptationPolicy Policy) {
@@ -360,126 +402,131 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
     return false;
   };
   for (int A = 2; A < Argc; ++A) {
-    if (std::strcmp(Argv[A], "--jobs") == 0 && A + 1 < Argc) {
-      // 0 = hardware concurrency; any value yields identical results.
-      AnalysisOpts.Threads =
-          static_cast<unsigned>(std::strtoul(Argv[++A], nullptr, 10));
-    } else if (std::strcmp(Argv[A], "--dump-ir") == 0 ||
-               std::strcmp(Argv[A], "--dump-ir=after") == 0) {
+    const char *Arg = Argv[A];
+    // A valued flag takes its value as --flag=V or as the next argument.
+    const char *V = nullptr;
+    auto valued = [&](const char *Flag) {
+      size_t Len = std::strlen(Flag);
+      if (std::strncmp(Arg, Flag, Len) != 0)
+        return false;
+      if (Arg[Len] == '=')
+        V = Arg + Len + 1;
+      else if (Arg[Len] == '\0' && A + 1 < Argc)
+        V = Argv[++A];
+      return V != nullptr;
+    };
+    if (std::strcmp(Arg, "--dump-ir") == 0 ||
+        std::strcmp(Arg, "--dump-ir=after") == 0) {
       DumpIR = true;
-    } else if (std::strcmp(Argv[A], "--dump-ir=before") == 0) {
+    } else if (std::strcmp(Arg, "--dump-ir=before") == 0) {
       DumpIRBefore = true;
-    } else if (std::strcmp(Argv[A], "--no-opt") == 0) {
+    } else if (std::strcmp(Arg, "--no-opt") == 0) {
       PassOpts.Enabled = false;
-    } else if (std::strcmp(Argv[A], "--dump-source") == 0) {
+    } else if (std::strcmp(Arg, "--dump-source") == 0) {
       DumpSource = true;
-    } else if (std::strcmp(Argv[A], "--run") == 0) {
+    } else if (std::strcmp(Arg, "--run") == 0) {
       Run = true;
-    } else if (std::strcmp(Argv[A], "--params") == 0 && A + 1 < Argc) {
-      HaveParams = true;
-      Params = parseList(Argv[++A]);
-    } else if (std::strcmp(Argv[A], "--inputs") == 0 && A + 1 < Argc) {
-      Inputs = parseList(Argv[++A]);
-    } else if (std::strcmp(Argv[A], "--fault-seed") == 0 && A + 1 < Argc) {
-      Link.Seed = std::strtoull(Argv[++A], nullptr, 10);
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--drop-rate") == 0 && A + 1 < Argc) {
-      Link.DropRate = std::strtod(Argv[++A], nullptr);
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--jitter") == 0 && A + 1 < Argc) {
-      Link.JitterUnits =
-          static_cast<unsigned>(std::strtoul(Argv[++A], nullptr, 10));
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--disconnect-at") == 0 && A + 1 < Argc) {
-      char *End = nullptr;
-      Link.DisconnectAt = std::strtoull(Argv[++A], &End, 10);
-      Link.DisconnectLength =
-          (End && *End == ':') ? std::strtoull(End + 1, nullptr, 10) : ~0ull;
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--policy") == 0 && A + 1 < Argc) {
-      const char *Name = Argv[++A];
-      if (std::strcmp(Name, "fail-fast") == 0)
-        Policy = FaultPolicy::FailFast;
-      else if (std::strcmp(Name, "retry-only") == 0)
-        Policy = FaultPolicy::RetryOnly;
-      else if (std::strcmp(Name, "degrade") == 0)
-        Policy = FaultPolicy::DegradeToLocal;
-      else {
-        std::fprintf(stderr, "error: unknown policy %s\n", Name);
-        return 2;
-      }
-      Run = true;
-    } else if (std::strncmp(Argv[A], "--adapt=", 8) == 0) {
-      if (!parseAdapt(Argv[A] + 8))
-        return 2;
-    } else if (std::strcmp(Argv[A], "--adapt") == 0 && A + 1 < Argc) {
-      if (!parseAdapt(Argv[++A]))
-        return 2;
-    } else if (std::strncmp(Argv[A], "--drift=", 8) == 0) {
-      if (!parseDrift(Argv[A] + 8))
-        return 2;
-    } else if (std::strcmp(Argv[A], "--drift") == 0 && A + 1 < Argc) {
-      if (!parseDrift(Argv[++A]))
-        return 2;
-    } else if (std::strncmp(Argv[A], "--crash=", 8) == 0) {
-      if (!parseCrash(Argv[A] + 8))
-        return 2;
-    } else if (std::strcmp(Argv[A], "--crash") == 0 && A + 1 < Argc) {
-      if (!parseCrash(Argv[++A]))
-        return 2;
-    } else if (std::strncmp(Argv[A], "--probe-period=", 15) == 0) {
-      Adapt.ProbePeriodBoundaries =
-          static_cast<unsigned>(std::strtoul(Argv[A] + 15, nullptr, 10));
-      Run = true;
-    } else if (std::strncmp(Argv[A], "--probe-bytes=", 14) == 0) {
-      Adapt.ProbeBytes = std::strtoull(Argv[A] + 14, nullptr, 10);
-      Run = true;
-    } else if (std::strncmp(Argv[A], "--probe-budget=", 15) == 0) {
-      Adapt.ProbeBudget =
-          static_cast<unsigned>(std::strtoul(Argv[A] + 15, nullptr, 10));
-      Run = true;
-    } else if (std::strncmp(Argv[A], "--ledger-budget=", 16) == 0) {
-      LedgerBudget = std::strtoull(Argv[A] + 16, nullptr, 10);
-      Run = true;
-    } else if (std::strncmp(Argv[A], "--serve=", 8) == 0) {
-      ServePath = Argv[A] + 8;
-    } else if (std::strcmp(Argv[A], "--serve") == 0 && A + 1 < Argc) {
-      ServePath = Argv[++A];
-    } else if (std::strncmp(Argv[A], "--serve-threads=", 16) == 0) {
-      ServeThreads =
-          static_cast<unsigned>(std::strtoul(Argv[A] + 16, nullptr, 10));
-    } else if (std::strncmp(Argv[A], "--serve-repeat=", 15) == 0) {
-      ServeRepeat = std::max(
-          1u, static_cast<unsigned>(std::strtoul(Argv[A] + 15, nullptr, 10)));
-    } else if (std::strncmp(Argv[A], "--trace=", 8) == 0) {
-      TracePath = Argv[A] + 8;
-    } else if (std::strcmp(Argv[A], "--trace") == 0 && A + 1 < Argc) {
-      TracePath = Argv[++A];
-    } else if (std::strncmp(Argv[A], "--log=", 6) == 0) {
-      Obs.LogPath = Argv[A] + 6;
-    } else if (std::strncmp(Argv[A], "--metrics=", 10) == 0) {
-      Obs.MetricsPath = Argv[A] + 10;
-    } else if (std::strncmp(Argv[A], "--timeseries=", 13) == 0) {
-      Obs.TimeseriesPath = Argv[A] + 13;
-    } else if (std::strncmp(Argv[A], "--window=", 9) == 0) {
-      WindowUnits = std::strtoll(Argv[A] + 9, nullptr, 10);
-      if (WindowUnits <= 0) {
-        std::fprintf(stderr, "error: --window needs a positive width\n");
-        return 2;
-      }
-    } else if (std::strcmp(Argv[A], "--stats") == 0) {
+    } else if (std::strcmp(Arg, "--stats") == 0) {
       PrintStats = true;
-    } else if (std::strncmp(Argv[A], "--audit=", 8) == 0) {
-      AuditPath = Argv[A] + 8;
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--audit") == 0 && A + 1 < Argc) {
-      AuditPath = Argv[++A];
-      Run = true;
-    } else if (std::strcmp(Argv[A], "--report") == 0) {
+    } else if (std::strcmp(Arg, "--report") == 0) {
       Report = true;
       Run = true;
+    } else if (valued("--jobs")) {
+      // 0 = hardware concurrency; any value yields identical results.
+      if (!parseNumber("--jobs", V, AnalysisOpts.Threads, 0u, kMaxThreads))
+        return 2;
+    } else if (valued("--params")) {
+      HaveParams = true;
+      if (!parseList("--params", V, Params))
+        return 2;
+    } else if (valued("--inputs")) {
+      if (!parseList("--inputs", V, Inputs))
+        return 2;
+    } else if (valued("--fault-seed")) {
+      if (!parseNumber("--fault-seed", V, Link.Seed))
+        return 2;
+      Run = true;
+    } else if (valued("--drop-rate")) {
+      if (!parseNumber("--drop-rate", V, Link.DropRate))
+        return 2;
+      Run = true;
+    } else if (valued("--jitter")) {
+      if (!parseNumber("--jitter", V, Link.JitterUnits))
+        return 2;
+      Run = true;
+    } else if (valued("--disconnect-at")) {
+      std::string_view Spec(V);
+      size_t Colon = Spec.find(':');
+      Link.DisconnectLength = ~0ull;
+      if (!parseNumber("--disconnect-at", Spec.substr(0, Colon),
+                       Link.DisconnectAt) ||
+          (Colon != std::string_view::npos &&
+           !parseNumber("--disconnect-at", Spec.substr(Colon + 1),
+                        Link.DisconnectLength)))
+        return 2;
+      Run = true;
+    } else if (valued("--policy")) {
+      if (std::strcmp(V, "fail-fast") == 0)
+        Policy = FaultPolicy::FailFast;
+      else if (std::strcmp(V, "retry-only") == 0)
+        Policy = FaultPolicy::RetryOnly;
+      else if (std::strcmp(V, "degrade") == 0)
+        Policy = FaultPolicy::DegradeToLocal;
+      else {
+        std::fprintf(stderr, "error: unknown policy %s\n", V);
+        return 2;
+      }
+      Run = true;
+    } else if (valued("--adapt")) {
+      if (!parseAdapt(V))
+        return 2;
+    } else if (valued("--drift")) {
+      if (!parseDrift(V))
+        return 2;
+    } else if (valued("--crash")) {
+      if (!parseCrash(V))
+        return 2;
+    } else if (valued("--probe-period")) {
+      if (!parseNumber("--probe-period", V, Adapt.ProbePeriodBoundaries))
+        return 2;
+      Run = true;
+    } else if (valued("--probe-bytes")) {
+      if (!parseNumber("--probe-bytes", V, Adapt.ProbeBytes))
+        return 2;
+      Run = true;
+    } else if (valued("--probe-budget")) {
+      if (!parseNumber("--probe-budget", V, Adapt.ProbeBudget))
+        return 2;
+      Run = true;
+    } else if (valued("--ledger-budget")) {
+      if (!parseNumber("--ledger-budget", V, LedgerBudget))
+        return 2;
+      Run = true;
+    } else if (valued("--serve")) {
+      ServePath = V;
+    } else if (valued("--serve-threads")) {
+      if (!parseNumber("--serve-threads", V, ServeThreads, 0u, kMaxThreads))
+        return 2;
+    } else if (valued("--serve-repeat")) {
+      if (!parseNumber("--serve-repeat", V, ServeRepeat))
+        return 2;
+      ServeRepeat = std::max(1u, ServeRepeat);
+    } else if (valued("--trace")) {
+      TracePath = V;
+    } else if (valued("--log")) {
+      Obs.LogPath = V;
+    } else if (valued("--metrics")) {
+      Obs.MetricsPath = V;
+    } else if (valued("--timeseries")) {
+      Obs.TimeseriesPath = V;
+    } else if (valued("--window")) {
+      if (!parseNumber("--window", V, WindowUnits, int64_t(1)))
+        return 2;
+    } else if (valued("--audit")) {
+      AuditPath = V;
+      Run = true;
     } else {
-      std::fprintf(stderr, "error: unknown argument %s\n", Argv[A]);
+      std::fprintf(stderr, "error: unknown argument %s\n", Arg);
       return 2;
     }
   }

@@ -84,6 +84,11 @@ struct Frame {
   unsigned RetDstVar = KNone;
 };
 
+/// Required relative improvement of a closed-loop switch (drift
+/// re-dispatch or probe-driven re-offload): the challenger's repriced
+/// cost must be at most (1 - kSwitchMargin) times the incumbent's.
+const Rational kSwitchMargin = Rational::fraction(1, 8);
+
 /// FailFast means "no retries": the first lost attempt is terminal.
 RetryPolicy effectiveRetry(const ExecOptions &Opts) {
   RetryPolicy Retry = Opts.Retry;
@@ -109,7 +114,7 @@ public:
       : CP(CP), Opts(Opts), Energy(Energy),
         Sim(CP.Costs, Opts.Link, effectiveRetry(Opts), Opts.Drift,
             Opts.Crash),
-        EffPolicy(effectivePolicy(Opts)),
+        Counts(Sim.counters()), EffPolicy(effectivePolicy(Opts)),
         ClosedLoop(Opts.Adapt.Policy == AdaptationPolicy::ClosedLoop),
         EvalPeriod(std::max(1u, Opts.Adapt.EvalPeriod)),
         ProbePeriod(std::max(1u, Opts.Adapt.ProbePeriodBoundaries)),
@@ -261,7 +266,7 @@ private:
     if (!Rec && !Prof)
       return Send();
     Rational Start = Sim.now();
-    uint64_t Timeouts0 = Sim.timeouts(), Retries0 = Sim.retries();
+    uint64_t Timeouts0 = Counts.Timeouts, Retries0 = Counts.Retries;
     bool Delivered = Send();
     Rational End = Sim.now();
     if (Prof && Delivered)
@@ -274,8 +279,8 @@ private:
       M.ToTask = ToTask;
       M.LocId = LocId;
       M.Bytes = Bytes;
-      M.Timeouts = Sim.timeouts() - Timeouts0;
-      M.Retries = Sim.retries() - Retries0;
+      M.Timeouts = Counts.Timeouts - Timeouts0;
+      M.Retries = Counts.Retries - Retries0;
       M.Delivered = Delivered;
       M.Start = std::move(Start);
       M.End = std::move(End);
@@ -382,7 +387,7 @@ private:
       Region.ClientValid = true;
       ++Restored;
     }
-    LedgerRestores += Restored;
+    Counts.LedgerRestores += Restored;
     // Pins for regions the rewind destroyed are dead weight.
     for (auto It = Ledger.begin(); It != Ledger.end();) {
       if (It->first >= Regions.size() || !Regions[It->first].Live) {
@@ -394,7 +399,7 @@ private:
     }
     // Probing keeps the fallback temporary while budget remains; without
     // it (or without the closed loop) the degrade is permanent.
-    if (ClosedLoop && ProbesSent < Opts.Adapt.ProbeBudget) {
+    if (ClosedLoop && Counts.Probes < Opts.Adapt.ProbeBudget) {
       LocalFallback = true;
       LastFallbackTask = CurrentTask;
       FallbackBoundaries = 0;
@@ -402,12 +407,7 @@ private:
       Degraded = true;
       LocalFallback = false;
     }
-    ++Fallbacks;
-    obs::StatsRegistry::global().counter("sim.fallbacks").add();
-    if (Restored)
-      obs::StatsRegistry::global()
-          .counter("recovery.ledger_restores")
-          .add(Restored);
+    ++Counts.Fallbacks;
     if (obs::Tracer::global().enabled())
       obs::Tracer::global().instantEvent(
           "sim.fallback", "sim",
@@ -438,7 +438,7 @@ private:
       return false;
     }
     return fail(std::string("link failure: ") + What + " lost after " +
-                    std::to_string(Sim.timeouts()) + " timed-out attempt(s)",
+                    std::to_string(Counts.Timeouts) + " timed-out attempt(s)",
                 ExecResult::FailureKind::LinkFailure);
   }
 
@@ -519,8 +519,7 @@ private:
       return fail("server crashed at t=" + At.toString() +
                       " and the policy has no recovery path",
                   ExecResult::FailureKind::ServerCrash);
-    ++CrashRecoveries;
-    obs::StatsRegistry::global().counter("recovery.crash_rollbacks").add();
+    ++Counts.CrashRecoveries;
     WantRollback = true;
     return false;
   }
@@ -587,11 +586,8 @@ private:
                       [&] { return Sim.tryLedgerSync(Bytes); }))
         return linkLost("recovery-ledger sync");
       if (EvictedOnce.count(Id)) {
-        ++LedgerRefetches;
+        ++Counts.LedgerRefetches;
         EvictedOnce.erase(Id);
-        obs::StatsRegistry::global()
-            .counter("recovery.ledger_refetches")
-            .add();
         if (Ev)
           event(obs::LogLevel::Info, "ledger-refetch", Sim.now())
               .field("region", Id)
@@ -636,8 +632,7 @@ private:
         break; // Everything left is load-bearing.
       PinnedBytes -= Victim->second.Bytes;
       EvictedOnce.insert(Victim->first);
-      ++LedgerEvictions;
-      obs::StatsRegistry::global().counter("recovery.ledger_evictions").add();
+      ++Counts.LedgerEvictions;
       if (Ev) {
         unsigned Id = Victim->first;
         event(obs::LogLevel::Info, "ledger-evict", Sim.now())
@@ -650,23 +645,21 @@ private:
       }
       Ledger.erase(Victim);
     }
-    LedgerPeakBytes = std::max(LedgerPeakBytes, PinnedBytes);
-    obs::StatsRegistry::global()
-        .histogram("recovery.ledger_pinned_bytes")
-        .record(PinnedBytes);
+    Counts.LedgerPeakBytes = std::max(Counts.LedgerPeakBytes, PinnedBytes);
+    static obs::Histogram &Pinned = obs::StatsRegistry::global().histogram(
+        "recovery.ledger_pinned_bytes");
+    Pinned.record(PinnedBytes);
   }
 
   /// Spends the probe budget: the fallback becomes a permanent degrade.
   void exhaustProbes() {
     Degraded = true;
     LocalFallback = false;
-    obs::StatsRegistry::global()
-        .counter("recovery.probe_budget_exhausted")
-        .add();
+    ++Counts.ProbeExhaustions;
     if (obs::Tracer::global().enabled())
       obs::Tracer::global().instantEvent(
           "recovery.probe_exhausted", "sim",
-          {{"probes", ProbesSent}});
+          {{"probes", Counts.Probes}});
     if (Rec) {
       RecoveryMark M;
       M.K = RecoveryMark::Kind::Exhausted;
@@ -676,7 +669,7 @@ private:
     }
     if (Ev)
       event(obs::LogLevel::Warn, "probe-exhausted", Sim.now())
-          .field("probes", ProbesSent);
+          .field("probes", Counts.Probes);
   }
 
   /// Runs at each task boundary of a LocalFallback run: every
@@ -690,13 +683,12 @@ private:
     ++FallbackBoundaries;
     if (FallbackBoundaries % ProbePeriod != 0)
       return true;
-    if (ProbesSent >= Opts.Adapt.ProbeBudget) {
+    if (Counts.Probes >= Opts.Adapt.ProbeBudget) {
       // Reachable when the final probe succeeded but repricing kept the
       // run local: the budget is gone, so stop paying for boundaries.
       exhaustProbes();
       return true;
     }
-    ++ProbesSent;
     recEndSegment(); // The probe splits the open segment.
     bool Up = recMessage(MessageRecord::Kind::Probe, true, CurrentTask,
                          CurrentTask, KNone, Opts.Adapt.ProbeBytes,
@@ -705,14 +697,14 @@ private:
       obs::Tracer::global().instantEvent(
           "recovery.probe", "sim",
           {{"delivered", Up ? "true" : "false"},
-           {"probes_sent", ProbesSent}});
+           {"probes_sent", Counts.Probes}});
     if (Ev)
       event(obs::LogLevel::Info, "probe", Sim.now())
           .field("delivered", Up)
-          .field("probes_sent", ProbesSent)
+          .field("probes_sent", Counts.Probes)
           .field("probe_bytes", Opts.Adapt.ProbeBytes);
     if (!Up) {
-      if (ProbesSent >= Opts.Adapt.ProbeBudget)
+      if (Counts.Probes >= Opts.Adapt.ProbeBudget)
         exhaustProbes();
       recBeginSegment();
       return true; // Still down (or still crashed); keep running local.
@@ -734,9 +726,8 @@ private:
       }
     }
     static const Rational One(1);
-    if (Best == KNone ||
-        !(BestCost <= Stay * (One - Opts.Adapt.SwitchMargin)) ||
-        Result.Redispatches.size() >= Opts.Adapt.MaxRedispatches) {
+    if (Best == KNone || !(BestCost <= Stay * (One - kSwitchMargin)) ||
+        Counts.Redispatches.size() >= Opts.Adapt.MaxRedispatches) {
       recBeginSegment();
       return true; // Remote not (sufficiently) worth it yet.
     }
@@ -748,8 +739,7 @@ private:
     takeCheckpoint();
     if (!redispatch(Best, std::move(Stay), std::move(BestCost)))
       return false;
-    ++Reoffloads;
-    obs::StatsRegistry::global().counter("recovery.reoffloads").add();
+    ++Counts.Reoffloads;
     if (Rec) {
       RecoveryMark M;
       M.K = RecoveryMark::Kind::Reoffload;
@@ -842,6 +832,7 @@ private:
   const ExecOptions &Opts;
   EnergyModel Energy;
   Simulator Sim;
+  RunCounters &Counts; ///< The simulator's record; recovery counts here.
   FaultPolicy EffPolicy;
   bool ClosedLoop = false;
   unsigned EvalPeriod = 1;
@@ -871,7 +862,6 @@ private:
   bool CheckpointsOn = false; ///< Snapshot at task boundaries.
   bool Degraded = false;      ///< Link declared dead; run pinned to client.
   bool WantRollback = false;  ///< A link failure requested a rollback.
-  uint64_t Fallbacks = 0;
 
   // Server-failure recovery state.
   unsigned ProbePeriod = 1;   ///< Boundaries between recovery probes.
@@ -885,13 +875,6 @@ private:
   uint64_t LedgerSeq = 0; ///< Monotone LRU clock.
   unsigned LastFallbackTask = KNone;
   uint64_t FallbackBoundaries = 0;
-  unsigned ProbesSent = 0;
-  uint64_t CrashRecoveries = 0;
-  uint64_t LedgerRestores = 0;
-  uint64_t LedgerEvictions = 0;
-  uint64_t LedgerRefetches = 0;
-  uint64_t LedgerPeakBytes = 0;
-  uint64_t Reoffloads = 0;
 
   std::map<std::pair<unsigned, unsigned>, std::vector<Movement>>
       MovementCache;
@@ -1033,7 +1016,7 @@ bool Machine::maybeAdapt() {
     return true;
   if (Prof->samples() < Opts.Adapt.MinSamples)
     return true;
-  if (Result.Redispatches.size() >= Opts.Adapt.MaxRedispatches)
+  if (Counts.Redispatches.size() >= Opts.Adapt.MaxRedispatches)
     return true;
 
   CostModel Profiled = Prof->model();
@@ -1058,7 +1041,7 @@ bool Machine::maybeAdapt() {
   // must have dwelt on the incumbent long enough.
   static const Rational One(1);
   if (Best == Choice ||
-      !(BestCost <= Stay * (One - Opts.Adapt.SwitchMargin))) {
+      !(BestCost <= Stay * (One - kSwitchMargin))) {
     HavePending = false;
     PendingStreak = 0;
     return true;
@@ -1115,7 +1098,7 @@ bool Machine::migrateLoc(unsigned D, bool ToServer) {
 
 bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   recEndSegment(); // The switch happens between tasks.
-  ExecResult::RedispatchEvent E;
+  AdaptMark E;
   E.At = Sim.now();
   E.AtTask = CurrentTask;
   E.FromChoice = Choice;
@@ -1167,7 +1150,6 @@ bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   HavePending = false;
   PendingStreak = 0;
 
-  obs::StatsRegistry::global().counter("sim.redispatches").add();
   auto choiceArg = [](unsigned C) {
     return C == KNone ? std::string("local") : std::to_string(C);
   };
@@ -1179,23 +1161,15 @@ bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
          {"to_choice", choiceArg(E.ToChoice)},
          {"predicted_stay", E.PredictedStay.toString()},
          {"predicted_switch", E.PredictedSwitch.toString()}});
-  if (Rec) {
-    AdaptMark M;
-    M.At = E.At;
-    M.AtTask = E.AtTask;
-    M.FromChoice = E.FromChoice;
-    M.ToChoice = E.ToChoice;
-    M.PredictedStay = E.PredictedStay;
-    M.PredictedSwitch = E.PredictedSwitch;
-    Rec->adapt(std::move(M));
-  }
+  if (Rec)
+    Rec->adapt(E);
   if (Ev)
     event(obs::LogLevel::Info, "redispatch", E.At)
         .field("from_choice", choiceArg(E.FromChoice))
         .field("to_choice", choiceArg(E.ToChoice))
         .field("predicted_stay", E.PredictedStay.toString())
         .field("predicted_switch", E.PredictedSwitch.toString());
-  Result.Redispatches.push_back(std::move(E));
+  Counts.Redispatches.push_back(std::move(E));
   recBeginSegment();
   return true;
 }
@@ -1713,43 +1687,15 @@ ExecResult Machine::run() {
       break;
   }
   recEndSegment();
-  Sim.flushInstrs();
 
   Result.OK = !Failed;
   Result.Time = Sim.elapsed();
   Result.EnergyJoules = Sim.energyJoules(Energy);
-  Result.ClientInstrs = Sim.clientInstructions();
-  Result.ServerInstrs = Sim.serverInstructions();
-  Result.Migrations = Sim.migrations();
-  Result.TransferCount = Sim.transferCount();
-  Result.BytesToServer = Sim.bytesToServer();
-  Result.BytesToClient = Sim.bytesToClient();
-  Result.Registrations = Sim.registrationCount();
-  Result.SchedulingTime = Sim.schedulingTime();
-  Result.TransferTime = Sim.transferTime();
-  Result.RegistrationTime = Sim.registrationTime();
-  Result.Timeouts = Sim.timeouts();
-  Result.Retries = Sim.retries();
-  Result.Fallbacks = Fallbacks;
-  Result.FaultTime = Sim.faultTime() + Sim.jitterTime();
+  static_cast<RunCounters &>(Result) = Counts;
   // A run still sitting in the probing fallback at exit finished on the
   // client, exactly like a permanent degrade.
   Result.Degraded = Degraded || LocalFallback;
   Result.FinalChoice = (Degraded || LocalFallback) ? KNone : Choice;
-  Result.Crashes = Sim.crashCount();
-  Result.Restarts = Sim.restartCount();
-  Result.CrashRecoveries = CrashRecoveries;
-  Result.LedgerRestores = LedgerRestores;
-  Result.Probes = Sim.probes();
-  Result.ProbeFailures = Sim.probeFailures();
-  Result.Reoffloads = Reoffloads;
-  Result.LedgerSyncs = Sim.ledgerSyncs();
-  Result.LedgerSyncBytes = Sim.ledgerBytes();
-  Result.LedgerEvictions = LedgerEvictions;
-  Result.LedgerRefetches = LedgerRefetches;
-  Result.LedgerPeakBytes = LedgerPeakBytes;
-  Result.ProbeTime = Sim.probeTime();
-  Result.LedgerTime = Sim.ledgerTime();
   for (unsigned T = 0; T != TaskInstrCounts.size(); ++T)
     if (TaskInstrCounts[T])
       Result.TaskInstrs[T] = TaskInstrCounts[T];
@@ -1777,6 +1723,7 @@ ExecResult Machine::run() {
 
 ExecResult paco::runProgram(const CompiledProgram &CP, const ExecOptions &Opts,
                             const EnergyModel &Energy) {
-  Machine M(CP, Opts, Energy);
-  return M.run();
+  ExecResult Result = Machine(CP, Opts, Energy).run();
+  publish(Result);
+  return Result;
 }

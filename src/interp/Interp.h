@@ -59,9 +59,6 @@ struct AdaptationOptions {
   unsigned MinDwellBoundaries = 16;
   /// Consecutive evaluations that must agree on the same challenger.
   unsigned ConfirmEvals = 2;
-  /// Required relative improvement: switch only when the challenger's
-  /// repriced cost is at most (1 - Margin) times the incumbent's.
-  Rational SwitchMargin = Rational::fraction(1, 8);
   /// Hard cap on re-dispatches per run (thrash guard).
   unsigned MaxRedispatches = 8;
 
@@ -71,7 +68,7 @@ struct AdaptationOptions {
   /// through the CostModel like any other traffic. A delivered probe
   /// feeds the profiler and reprices local-vs-remote under the profiled
   /// model; the run re-offloads only when the best remote cut beats
-  /// local by SwitchMargin. ProbeBudget bounds the total spend: once
+  /// local by the switch margin. ProbeBudget bounds the total spend: once
   /// exhausted, the fallback becomes a permanent degrade. Zero disables
   /// probing (every fallback is immediately permanent, the PR-6
   /// behavior).
@@ -134,8 +131,9 @@ struct ExecOptions {
   obs::EventLog *Events = nullptr;
 };
 
-/// Everything measured during one run.
-struct ExecResult {
+/// Everything measured during one run: the run's counters plus what
+/// only the finished run knows.
+struct ExecResult : RunCounters {
   /// Structured classification of a failed run (Error carries the text).
   enum class FailureKind {
     None,             ///< The run succeeded.
@@ -155,62 +153,14 @@ struct ExecResult {
 
   Rational Time;            ///< Elapsed time in cost units.
   double EnergyJoules = 0;  ///< Client energy under the EnergyModel.
-  uint64_t ClientInstrs = 0;
-  uint64_t ServerInstrs = 0;
-  uint64_t Migrations = 0;
-  uint64_t TransferCount = 0;
-  uint64_t BytesToServer = 0;
-  uint64_t BytesToClient = 0;
-  uint64_t Registrations = 0;
   unsigned ChoiceUsed = KNone;  ///< Initially dispatched choice, if any.
   unsigned FinalChoice = KNone; ///< Choice the run finished under (KNone
                                 ///< after a switch to local or a degrade).
-
-  /// Per-component time split of Time (cost audit): task-scheduling
-  /// messages, data transfers, dynamic-data registrations.
-  Rational SchedulingTime;
-  Rational TransferTime;
-  Rational RegistrationTime;
-
-  /// Fault accounting (all zero on a fault-free link).
-  uint64_t Timeouts = 0;  ///< Message attempts declared lost.
-  uint64_t Retries = 0;   ///< Re-sends after a timeout.
-  uint64_t Fallbacks = 0; ///< Rollbacks that degraded the run to local.
-  Rational FaultTime;     ///< Time lost to timeouts, backoff and jitter.
-  bool Degraded = false;  ///< The run finished on the client after a
-                          ///< link failure or server crash.
-
-  /// Server-failure recovery accounting (all zero without a crash
-  /// schedule and with probing off).
-  uint64_t Crashes = 0;         ///< Scheduled crashes the run crossed.
-  uint64_t Restarts = 0;        ///< Scheduled restarts the run crossed.
-  uint64_t CrashRecoveries = 0; ///< Rollbacks forced by a crash.
-  uint64_t LedgerRestores = 0;  ///< Data items restored from the ledger.
-  uint64_t Probes = 0;          ///< Recovery probes sent.
-  uint64_t ProbeFailures = 0;   ///< Probes lost (down/dropped/crashed).
-  uint64_t Reoffloads = 0;      ///< Probe-driven returns to a remote cut.
-  uint64_t LedgerSyncs = 0;     ///< Charged ledger pin transfers.
-  uint64_t LedgerSyncBytes = 0; ///< Bytes those transfers moved.
-  uint64_t LedgerEvictions = 0; ///< Pins evicted under the byte budget.
-  uint64_t LedgerRefetches = 0; ///< Evicted pins fetched again later.
-  uint64_t LedgerPeakBytes = 0; ///< Ledger high-water mark.
-  Rational ProbeTime;           ///< Time spent probing.
-  Rational LedgerTime;          ///< Time spent syncing the ledger.
+  bool Degraded = false; ///< The run finished on the client after a
+                         ///< link failure or server crash.
 
   /// Measured instruction executions per task (for prediction error).
   std::map<unsigned, uint64_t> TaskInstrs;
-
-  /// One closed-loop re-dispatch the run performed (same payload the
-  /// timeline records as an AdaptMark).
-  struct RedispatchEvent {
-    Rational At;             ///< Simulated time of the switch.
-    unsigned AtTask = KNone; ///< The task boundary it fired at.
-    unsigned FromChoice = KNone;
-    unsigned ToChoice = KNone; ///< KNone = switched to all-client.
-    Rational PredictedStay;    ///< Profiled cost of keeping FromChoice.
-    Rational PredictedSwitch;  ///< Profiled cost of ToChoice.
-  };
-  std::vector<RedispatchEvent> Redispatches;
 };
 
 /// Runs the program.

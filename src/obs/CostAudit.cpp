@@ -143,8 +143,9 @@ std::string CostAuditReport::toJSON() const {
            (I + 1 != 5 ? ",\n" : "\n");
   Out += "  },\n";
   Out += "  \"redispatches\": [";
+  const std::vector<AdaptMark> &Redispatches = Counters.Redispatches;
   for (size_t I = 0; I != Redispatches.size(); ++I) {
-    const ExecResult::RedispatchEvent &E = Redispatches[I];
+    const AdaptMark &E = Redispatches[I];
     auto choice = [](unsigned C) {
       return C == KNone ? std::string("null") : std::to_string(C);
     };
@@ -159,35 +160,32 @@ std::string CostAuditReport::toJSON() const {
   }
   Out += Redispatches.empty() ? "],\n" : "\n  ],\n";
   Out += "  \"recovery\": {";
-  if (Recovery.active()) {
-    Out += "\n    \"crashes\": " + std::to_string(Recovery.Crashes) +
-           ",\n    \"restarts\": " + std::to_string(Recovery.Restarts) +
-           ",\n    \"crash_rollbacks\": " +
-           std::to_string(Recovery.CrashRecoveries) +
-           ",\n    \"ledger_restores\": " +
-           std::to_string(Recovery.LedgerRestores) +
-           ",\n    \"probes\": " + std::to_string(Recovery.Probes) +
-           ",\n    \"probe_failures\": " +
-           std::to_string(Recovery.ProbeFailures) +
-           ",\n    \"reoffloads\": " + std::to_string(Recovery.Reoffloads) +
-           ",\n    \"ledger_syncs\": " +
-           std::to_string(Recovery.LedgerSyncs) +
+  if (recoveryActive()) {
+    const RunCounters &C = Counters;
+    Out += "\n    \"crashes\": " + std::to_string(C.Crashes) +
+           ",\n    \"restarts\": " + std::to_string(C.Restarts) +
+           ",\n    \"crash_rollbacks\": " + std::to_string(C.CrashRecoveries) +
+           ",\n    \"ledger_restores\": " + std::to_string(C.LedgerRestores) +
+           ",\n    \"probes\": " + std::to_string(C.Probes) +
+           ",\n    \"probe_failures\": " + std::to_string(C.ProbeFailures) +
+           ",\n    \"reoffloads\": " + std::to_string(C.Reoffloads) +
+           ",\n    \"ledger_syncs\": " + std::to_string(C.LedgerSyncs) +
            ",\n    \"ledger_sync_bytes\": " +
-           std::to_string(Recovery.LedgerSyncBytes) +
+           std::to_string(C.LedgerSyncBytes) +
            ",\n    \"ledger_evictions\": " +
-           std::to_string(Recovery.LedgerEvictions) +
+           std::to_string(C.LedgerEvictions) +
            ",\n    \"ledger_refetches\": " +
-           std::to_string(Recovery.LedgerRefetches) +
+           std::to_string(C.LedgerRefetches) +
            ",\n    \"ledger_peak_bytes\": " +
-           std::to_string(Recovery.LedgerPeakBytes) +
-           ",\n    \"probe_units\": " +
-           jsonNum(Recovery.ProbeUnits.toDouble()) +
-           ",\n    \"ledger_units\": " +
-           jsonNum(Recovery.LedgerUnits.toDouble()) + "\n  },\n";
+           std::to_string(C.LedgerPeakBytes) +
+           ",\n    \"probe_units\": " + jsonNum(C.ProbeTime.toDouble()) +
+           ",\n    \"ledger_units\": " + jsonNum(C.LedgerTime.toDouble()) +
+           "\n  },\n";
   } else {
     Out += "},\n";
   }
-  Out += "  \"fault_units\": " + jsonNum(FaultUnits.toDouble()) + ",\n";
+  Out += "  \"fault_units\": " + jsonNum(Counters.FaultTime.toDouble()) +
+         ",\n";
   Out += "  \"cut_value\": " + jsonNum(CutValue.toDouble()) + ",\n";
   Out += "  \"cut_matches_components\": " +
          std::string(CutMatchesComponents ? "true" : "false") + ",\n";
@@ -235,13 +233,13 @@ std::string CostAuditReport::toText() const {
   line("communication", Communication);
   line("registration", Registration);
   line("total", Total);
-  if (!Redispatches.empty()) {
+  if (!Counters.Redispatches.empty()) {
     Out += "re-dispatches:\n";
     auto choice = [](unsigned C) {
       return C == KNone ? std::string("local")
                         : "choice " + std::to_string(C);
     };
-    for (const ExecResult::RedispatchEvent &E : Redispatches) {
+    for (const AdaptMark &E : Counters.Redispatches) {
       char Buf[192];
       std::snprintf(Buf, sizeof(Buf),
                     "  t=%s task %u: %s -> %s (predicted %s -> %s)\n",
@@ -253,33 +251,35 @@ std::string CostAuditReport::toText() const {
       Out += Buf;
     }
   }
-  if (Recovery.active()) {
+  if (recoveryActive()) {
+    const RunCounters &C = Counters;
     char Buf[256];
     std::snprintf(Buf, sizeof(Buf),
                   "recovery: %llu crash(es), %llu restart(s), %llu "
                   "rollback(s), %llu item(s) restored, %llu probe(s) (%llu "
                   "lost, %s units), %llu re-offload(s)\n",
-                  static_cast<unsigned long long>(Recovery.Crashes),
-                  static_cast<unsigned long long>(Recovery.Restarts),
-                  static_cast<unsigned long long>(Recovery.CrashRecoveries),
-                  static_cast<unsigned long long>(Recovery.LedgerRestores),
-                  static_cast<unsigned long long>(Recovery.Probes),
-                  static_cast<unsigned long long>(Recovery.ProbeFailures),
-                  fmtUnits(Recovery.ProbeUnits).c_str(),
-                  static_cast<unsigned long long>(Recovery.Reoffloads));
+                  static_cast<unsigned long long>(C.Crashes),
+                  static_cast<unsigned long long>(C.Restarts),
+                  static_cast<unsigned long long>(C.CrashRecoveries),
+                  static_cast<unsigned long long>(C.LedgerRestores),
+                  static_cast<unsigned long long>(C.Probes),
+                  static_cast<unsigned long long>(C.ProbeFailures),
+                  fmtUnits(C.ProbeTime).c_str(),
+                  static_cast<unsigned long long>(C.Reoffloads));
     Out += Buf;
     std::snprintf(Buf, sizeof(Buf),
                   "recovery ledger: %llu sync(s), %llu byte(s), %s units, "
                   "%llu eviction(s), %llu refetch(es), peak %llu byte(s)\n",
-                  static_cast<unsigned long long>(Recovery.LedgerSyncs),
-                  static_cast<unsigned long long>(Recovery.LedgerSyncBytes),
-                  fmtUnits(Recovery.LedgerUnits).c_str(),
-                  static_cast<unsigned long long>(Recovery.LedgerEvictions),
-                  static_cast<unsigned long long>(Recovery.LedgerRefetches),
-                  static_cast<unsigned long long>(Recovery.LedgerPeakBytes));
+                  static_cast<unsigned long long>(C.LedgerSyncs),
+                  static_cast<unsigned long long>(C.LedgerSyncBytes),
+                  fmtUnits(C.LedgerTime).c_str(),
+                  static_cast<unsigned long long>(C.LedgerEvictions),
+                  static_cast<unsigned long long>(C.LedgerRefetches),
+                  static_cast<unsigned long long>(C.LedgerPeakBytes));
     Out += Buf;
   }
-  Out += "fault time (unpredicted): " + fmtUnits(FaultUnits) + " units\n";
+  Out += "fault time (unpredicted): " + fmtUnits(Counters.FaultTime) +
+         " units\n";
   Out += "cut value at h: " + fmtUnits(CutValue) +
          " (components match: " + (CutMatchesComponents ? "yes" : "NO") +
          ")\n";
@@ -315,35 +315,20 @@ CostAuditReport paco::obs::auditRun(const CompiledProgram &CP,
   R.Choice = Run.ChoiceUsed;
   R.Degraded = Run.Degraded;
   R.ParamValues = ParamValues;
-  R.FaultUnits = Run.FaultTime;
+  R.Counters = Run;
   if (!Run.OK) {
     R.Note = "run failed: " + Run.Error;
     return R;
   }
   R.Valid = true;
-  R.Redispatches = Run.Redispatches;
-  R.Recovery.Crashes = Run.Crashes;
-  R.Recovery.Restarts = Run.Restarts;
-  R.Recovery.CrashRecoveries = Run.CrashRecoveries;
-  R.Recovery.LedgerRestores = Run.LedgerRestores;
-  R.Recovery.Probes = Run.Probes;
-  R.Recovery.ProbeFailures = Run.ProbeFailures;
-  R.Recovery.Reoffloads = Run.Reoffloads;
-  R.Recovery.LedgerSyncs = Run.LedgerSyncs;
-  R.Recovery.LedgerSyncBytes = Run.LedgerSyncBytes;
-  R.Recovery.LedgerEvictions = Run.LedgerEvictions;
-  R.Recovery.LedgerRefetches = Run.LedgerRefetches;
-  R.Recovery.LedgerPeakBytes = Run.LedgerPeakBytes;
-  R.Recovery.ProbeUnits = Run.ProbeTime;
-  R.Recovery.LedgerUnits = Run.LedgerTime;
   if (R.Choice == KNone)
     R.Note = "all-client baseline: no messages predicted or sent";
   else if (R.Degraded)
     R.Note = "run degraded to local execution mid-way; the static "
              "prediction assumes the partition ran to completion";
-  else if (!R.Redispatches.empty())
+  else if (!Run.Redispatches.empty())
     R.Note = "closed-loop run re-dispatched " +
-             std::to_string(R.Redispatches.size()) +
+             std::to_string(Run.Redispatches.size()) +
              " time(s); the static prediction assumes the initial "
              "choice ran to completion";
 

@@ -56,46 +56,25 @@ struct CostAuditReport {
   bool Degraded = false;   ///< Run fell back to the client mid-way.
   std::vector<int64_t> ParamValues;
 
-  /// Closed-loop re-dispatches the run performed, in order. The static
-  /// prediction below is the *initial* choice's, so a re-dispatched run
-  /// legitimately diverges from it -- that divergence is the drift the
-  /// adaptation reacted to.
-  std::vector<ExecResult::RedispatchEvent> Redispatches;
+  /// The run's counters, copied once from the result. Three of them are
+  /// time the static prediction has none of, all part of Total.Actual:
+  /// FaultTime (timeouts, backoff and jitter), ProbeTime and LedgerTime.
+  /// Redispatches lists the closed-loop switches in order; the prediction
+  /// below is the *initial* choice's, so a re-dispatched run legitimately
+  /// diverges from it -- that divergence is the drift the adaptation
+  /// reacted to.
+  RunCounters Counters;
 
   /// Component totals (the paper's cost taxonomy) plus the grand total.
   AuditEntry ClientCompute, ServerCompute, Scheduling, Communication,
       Registration, Total;
 
-  /// Time lost to timeouts, backoff and jitter. The model predicts none;
-  /// it is part of Total.Actual.
-  Rational FaultUnits;
-
-  /// Server-failure recovery accounting (crash/restart events, ledger
-  /// maintenance, recovery probes). The static prediction contains none
-  /// of it; ProbeUnits + LedgerUnits are part of Total.Actual.
-  struct RecoverySection {
-    uint64_t Crashes = 0;
-    uint64_t Restarts = 0;
-    uint64_t CrashRecoveries = 0;
-    uint64_t LedgerRestores = 0;
-    uint64_t Probes = 0;
-    uint64_t ProbeFailures = 0;
-    uint64_t Reoffloads = 0;
-    uint64_t LedgerSyncs = 0;
-    uint64_t LedgerSyncBytes = 0;
-    uint64_t LedgerEvictions = 0;
-    uint64_t LedgerRefetches = 0;
-    uint64_t LedgerPeakBytes = 0;
-    Rational ProbeUnits;
-    Rational LedgerUnits;
-
-    /// True when the run saw any crash/probe/ledger activity at all;
-    /// false keeps the section out of the rendered reports.
-    bool active() const {
-      return Crashes || Restarts || Probes || LedgerSyncs || Reoffloads;
-    }
-  };
-  RecoverySection Recovery;
+  /// True when the run saw any crash/probe/ledger activity at all;
+  /// false keeps the recovery lines out of the rendered reports.
+  bool recoveryActive() const {
+    return Counters.Crashes || Counters.Restarts || Counters.Probes ||
+           Counters.LedgerSyncs || Counters.Reoffloads;
+  }
 
   /// The chosen region's cut-value expression evaluated at h, and whether
   /// the component decomposition reproduces it exactly (it must -- a

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <deque>
 #include <set>
 
@@ -25,6 +24,15 @@ namespace {
 // even when no query ever falls off the certified regions.
 obs::Counter &PickFallbacks =
     obs::StatsRegistry::global().counter("partition.pick_fallback");
+
+/// Safety valve: abort certification when a region's vertex count
+/// explodes (documented approximation; never hit by the benchmarks).
+constexpr unsigned kMaxVertices = 50000;
+/// Safety valve on the number of optimal partitioning choices.
+constexpr unsigned kMaxChoices = 256;
+/// Maximum number of 0/1 option parameters to case-split on; beyond
+/// this the solver works in the joint space.
+constexpr unsigned kMaxFlagSplit = 8;
 
 } // namespace
 
@@ -438,7 +446,7 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
           FlagSet.insert(F);
     }
   }
-  if (FlagSet.size() > Options.MaxFlagSplit)
+  if (FlagSet.size() > kMaxFlagSplit)
     FlagSet.clear();
   std::vector<ParamId> Flags(FlagSet.begin(), FlagSet.end());
 
@@ -500,10 +508,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
     const DimMapper *Prev =
         CaseBits == 0 ? nullptr : &Slices[CaseBits - 1].Mapper.value();
     S.Mapper.emplace(S.SubNet, Space, std::vector<ParamId>{}, Prev);
-    if (Options.Verbose)
-      std::fprintf(stderr, "[parametric] case %u/%u dims=%u arcs=%u\n",
-                   CaseBits + 1, NumCases, S.Mapper->dim(),
-                   S.SubNet.numArcs());
   }
 
   // Phase 2: solve the slices, concurrently when Threads > 1. Slices are
@@ -635,9 +639,6 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
         Space.extendPoint(Full);
         tryPoint(std::move(Full));
       }
-      if (Options.Verbose)
-        std::fprintf(stderr, "[parametric]   sampled cuts=%zu\n",
-                     Cuts.size());
       for (const CutResult *Cut : Cuts) {
         Polyhedron Region = Mapper.box();
         for (const CutResult *Other : Cuts) {
@@ -660,7 +661,7 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
     std::deque<Polyhedron> Frontier;
     Frontier.push_back(Mapper.box());
 
-    while (!Frontier.empty() && S.Choices.size() < Options.MaxChoices) {
+    while (!Frontier.empty() && S.Choices.size() < kMaxChoices) {
       Polyhedron Domain = std::move(Frontier.front());
       Frontier.pop_front();
       if (Domain.isEmpty())
@@ -685,10 +686,7 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
       while (!Certified) {
         Certified = true;
         const Generators &Gens = Region.generators();
-        if (Options.Verbose)
-          std::fprintf(stderr, "[parametric]   certify vertices=%zu\n",
-                       Gens.Vertices.size());
-        if (Gens.Vertices.size() > Options.MaxVertices) {
+        if (Gens.Vertices.size() > kMaxVertices) {
           S.VertexLimitHit = true;
           break;
         }
@@ -749,11 +747,11 @@ ParametricResult paco::solveParametric(const PartitionProblem &Problem,
         Result.Choices.push_back(std::move(Choice));
       continue;
     }
-    if (Result.Choices.size() >= Options.MaxChoices)
+    if (Result.Choices.size() >= kMaxChoices)
       continue;
     Result.VertexLimitHit |= S.VertexLimitHit;
     for (PartitionChoice &Choice : S.Choices) {
-      if (Result.Choices.size() >= Options.MaxChoices)
+      if (Result.Choices.size() >= kMaxChoices)
         break;
       Result.Choices.push_back(std::move(Choice));
     }

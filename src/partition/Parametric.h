@@ -41,14 +41,6 @@ struct ParametricOptions {
   /// Apply the degeneracy heuristic (section 5.2): drop a choice whose
   /// region is contained in another choice's region.
   bool PruneContained = true;
-  /// Safety valve: abort certification when a region's vertex count
-  /// explodes (documented approximation; never hit by the benchmarks).
-  unsigned MaxVertices = 50000;
-  /// Safety valve on the number of optimal partitioning choices.
-  unsigned MaxChoices = 256;
-  /// Maximum number of 0/1 option parameters to case-split on; beyond
-  /// this the solver works in the joint space.
-  unsigned MaxFlagSplit = 8;
   /// Slices with more effective dimensions than this are solved by
   /// sampling (approximate regions) instead of exact certification.
   unsigned MaxExactDims = 9;
@@ -60,8 +52,6 @@ struct ParametricOptions {
   /// bit-identical for every thread count (slices are independent, merged
   /// in slice order, and all shared state is read-only while solving).
   unsigned Threads = 0;
-  /// Print solver progress to stderr.
-  bool Verbose = false;
 };
 
 /// One optimal partitioning choice with its parameter region.

@@ -29,26 +29,34 @@ void Simulator::clockInstructions(bool OnServer, uint64_t N) {
     pollServerClock();
 }
 
-std::string Simulator::summary() const {
-  std::string Out = "elapsed=" + elapsed().toString();
-  Out += " client_instrs=" + std::to_string(ClientInstrs);
-  Out += " server_instrs=" + std::to_string(ServerInstrs);
-  Out += " migrations=" + std::to_string(Migrations);
-  Out += " transfers=" + std::to_string(Transfers);
-  Out += " to_server=" + std::to_string(BytesToServer) + "B";
-  Out += " to_client=" + std::to_string(BytesToClient) + "B";
-  Out += " registrations=" + std::to_string(Registrations);
-  if (Timeouts || Retries) {
-    Out += " timeouts=" + std::to_string(Timeouts);
-    Out += " retries=" + std::to_string(Retries);
-    Out += " fault_time=" + (FaultTime + JitterTime).toString();
-  }
-  if (CrashCount || Probes) {
-    Out += " crashes=" + std::to_string(CrashCount);
-    Out += " restarts=" + std::to_string(RestartCount);
-    Out += " probes=" + std::to_string(Probes);
-    Out += " probe_failures=" + std::to_string(ProbeFailures);
-    Out += " ledger_syncs=" + std::to_string(LedgerSyncs);
-  }
-  return Out;
+void paco::publish(const RunCounters &C) {
+  obs::StatsRegistry &Reg = obs::StatsRegistry::global();
+  // A counter no run has touched stays unregistered, so --stats lists
+  // only what happened.
+  auto add = [&Reg](const char *Name, uint64_t N) {
+    if (N)
+      Reg.counter(Name).add(N);
+  };
+  add("sim.instructions", C.ClientInstrs + C.ServerInstrs);
+  add("sim.migrations", C.Migrations);
+  add("sim.transfers", C.TransferCount);
+  add("sim.bytes_to_server", C.BytesToServer);
+  add("sim.bytes_to_client", C.BytesToClient);
+  add("sim.registrations", C.Registrations);
+  add("sim.timeouts", C.Timeouts);
+  add("sim.retries", C.Retries);
+  add("sim.jitter_units", C.JitterUnits);
+  add("sim.fallbacks", C.Fallbacks);
+  add("sim.crashes", C.Crashes);
+  add("sim.restarts", C.Restarts);
+  add("sim.probes", C.Probes);
+  add("sim.probe_failures", C.ProbeFailures);
+  add("sim.ledger_syncs", C.LedgerSyncs);
+  add("sim.redispatches", C.Redispatches.size());
+  add("recovery.crash_rollbacks", C.CrashRecoveries);
+  add("recovery.ledger_restores", C.LedgerRestores);
+  add("recovery.ledger_evictions", C.LedgerEvictions);
+  add("recovery.ledger_refetches", C.LedgerRefetches);
+  add("recovery.probe_budget_exhausted", C.ProbeExhaustions);
+  add("recovery.reoffloads", C.Reoffloads);
 }

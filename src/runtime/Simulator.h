@@ -22,9 +22,10 @@
 #include "cost/CostModel.h"
 #include "obs/Trace.h"
 #include "runtime/LinkModel.h"
+#include "runtime/Timeline.h"
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 namespace paco {
 
@@ -37,6 +38,62 @@ struct EnergyModel {
   double Volts = 5.0;
   double UnitSeconds = 1e-6;
 };
+
+/// Everything one run counts, each event once. The Simulator charges the
+/// message, fault and time fields; the interpreter counts its recovery
+/// and adaptation events into the same record; ExecResult derives from
+/// it, the cost audit keeps a copy, and publish() hands it to the stats
+/// registry when the run ends.
+struct RunCounters {
+  uint64_t ClientInstrs = 0;
+  uint64_t ServerInstrs = 0;
+  uint64_t Migrations = 0; ///< Delivered task-scheduling messages.
+  uint64_t TransferCount = 0;
+  uint64_t BytesToServer = 0;
+  uint64_t BytesToClient = 0;
+  uint64_t Registrations = 0;
+
+  /// Per-component time split (cost audit): task-scheduling messages,
+  /// data transfers, dynamic-data registrations.
+  Rational SchedulingTime;
+  Rational TransferTime;
+  Rational RegistrationTime;
+
+  /// Fault accounting (all zero on a fault-free link).
+  uint64_t Timeouts = 0;    ///< Message attempts declared lost.
+  uint64_t Retries = 0;     ///< Re-sends after a timeout.
+  uint64_t Fallbacks = 0;   ///< Rollbacks that degraded the run to local.
+  uint64_t JitterUnits = 0; ///< Latency jitter of delivered messages.
+  Rational FaultTime;       ///< Time lost to timeouts, backoff and jitter.
+
+  /// Server-failure recovery accounting (all zero without a crash
+  /// schedule and with probing off).
+  uint64_t Crashes = 0;          ///< Scheduled crashes the run crossed.
+  uint64_t Restarts = 0;         ///< Scheduled restarts the run crossed.
+  uint64_t CrashRecoveries = 0;  ///< Rollbacks forced by a crash.
+  uint64_t LedgerRestores = 0;   ///< Data items restored from the ledger.
+  uint64_t Probes = 0;           ///< Recovery probes sent.
+  uint64_t ProbeFailures = 0;    ///< Probes lost (down/dropped/crashed).
+  uint64_t ProbeExhaustions = 0; ///< Probe budgets spent (at most one).
+  uint64_t Reoffloads = 0;       ///< Probe-driven returns to a remote cut.
+  uint64_t LedgerSyncs = 0;      ///< Charged ledger pin transfers.
+  uint64_t LedgerSyncBytes = 0;  ///< Bytes those transfers moved.
+  uint64_t LedgerEvictions = 0;  ///< Pins evicted under the byte budget.
+  uint64_t LedgerRefetches = 0;  ///< Evicted pins fetched again later.
+  uint64_t LedgerPeakBytes = 0;  ///< Ledger high-water mark.
+  Rational ProbeTime;            ///< Time spent probing.
+  Rational LedgerTime;           ///< Time spent syncing the ledger.
+
+  /// The closed-loop re-dispatches, in order (the same payload the
+  /// timeline records).
+  using RedispatchEvent = AdaptMark;
+  std::vector<RedispatchEvent> Redispatches;
+};
+
+/// Adds the nonzero counters of \p C to the process-wide stats registry
+/// under their sim.* and recovery.* names. runProgram calls it once per
+/// run, so no message pays for a registry lookup.
+void publish(const RunCounters &C);
 
 /// Accumulates the execution costs of one run.
 class Simulator {
@@ -64,70 +121,49 @@ public:
 
   /// Accounts \p N instructions on the active host. Costs are derived
   /// from the counters on demand, so this is a bare increment on the
-  /// interpreter's hottest path; the registry only sees the count once
-  /// per kInstrStride instructions (a sampled flush keeps the registry
-  /// lookup off the hot path -- the fault-overhead budget is <2%).
+  /// interpreter's hottest path.
   void execInstructions(bool OnServer, uint64_t N) {
     if (OnServer)
-      ServerInstrs += N;
+      Counts.ServerInstrs += N;
     else
-      ClientInstrs += N;
+      Counts.ClientInstrs += N;
     if (ClockOn)
       clockInstructions(OnServer, N);
-#ifndef PACO_DISABLE_OBS
-    if ((PendingInstrs += N) >= kInstrStride)
-      flushInstrs();
-#endif
-  }
-
-  /// Drains the sampled instruction count into the "sim.instructions"
-  /// registry counter (the interpreter calls this at run end so the
-  /// final remainder below one stride is not lost).
-  void flushInstrs() {
-#ifndef PACO_DISABLE_OBS
-    if (PendingInstrs) {
-      statCounter("sim.instructions").add(PendingInstrs);
-      PendingInstrs = 0;
-    }
-#endif
   }
 
   /// Accounts one task-scheduling message.
   void schedule(bool ToServer) {
-    ++Migrations;
+    ++Counts.Migrations;
     Rational Cost = commCost(ToServer ? Costs.Tcst : Costs.Tsct);
-    SchedulingTime += Cost;
+    Counts.SchedulingTime += Cost;
     advanceClock(Cost);
-    statCounter("sim.migrations").add();
   }
 
   /// Accounts one data transfer of \p Bytes.
   void transfer(bool ToServer, uint64_t Bytes) {
-    ++Transfers;
+    ++Counts.TransferCount;
     Rational Size(static_cast<int64_t>(Bytes));
     Rational Cost;
     if (ToServer) {
-      BytesToServer += Bytes;
+      Counts.BytesToServer += Bytes;
       Cost = commCost(Costs.Tcsh + Costs.Tcsu * Size);
-      statCounter("sim.bytes_to_server").add(Bytes);
     } else {
-      BytesToClient += Bytes;
+      Counts.BytesToClient += Bytes;
       Cost = commCost(Costs.Tsch + Costs.Tscu * Size);
-      statCounter("sim.bytes_to_client").add(Bytes);
     }
-    TransferTime += Cost;
+    Counts.TransferTime += Cost;
     advanceClock(Cost);
-    statCounter("sim.transfers").add();
-    statHistogram("sim.transfer_bytes").record(Bytes);
+    static obs::Histogram &Sizes =
+        obs::StatsRegistry::global().histogram("sim.transfer_bytes");
+    Sizes.record(Bytes);
   }
 
   /// Accounts one dynamic-data registration.
   void registration() {
-    ++Registrations;
+    ++Counts.Registrations;
     Rational Cost = commCost(Costs.Ta);
-    RegistrationTime += Cost;
+    Counts.RegistrationTime += Cost;
     advanceClock(Cost);
-    statCounter("sim.registrations").add();
   }
 
   //===------------------------------------------------------------------===//
@@ -170,21 +206,19 @@ public:
   /// instead and returns false. Either way the attempt index advances,
   /// so probing never perturbs the fault schedule of later traffic.
   bool tryProbe(uint64_t Bytes) {
-    ++Probes;
-    statCounter("sim.probes").add();
+    ++Counts.Probes;
     LinkModel::Attempt A = Link.next(driftDown() || ServerDownNow);
     if (!A.Delivered) {
-      ++ProbeFailures;
-      ProbeTime += Costs.Tto;
+      ++Counts.ProbeFailures;
+      Counts.ProbeTime += Costs.Tto;
       advanceClock(Costs.Tto);
-      statCounter("sim.probe_failures").add();
       return false;
     }
     Rational Cost = commCost(Costs.Tcsh +
                              Costs.Tcsu *
                                  Rational(static_cast<int64_t>(Bytes)));
     Cost += Rational(static_cast<int64_t>(A.Jitter));
-    ProbeTime += Cost;
+    Counts.ProbeTime += Cost;
     advanceClock(Cost);
     return true;
   }
@@ -196,15 +230,16 @@ public:
   bool tryLedgerSync(uint64_t Bytes) {
     if (!sendMessage())
       return false;
-    ++LedgerSyncs;
-    LedgerBytes += Bytes;
+    ++Counts.LedgerSyncs;
+    Counts.LedgerSyncBytes += Bytes;
     Rational Cost = commCost(Costs.Tsch +
                              Costs.Tscu *
                                  Rational(static_cast<int64_t>(Bytes)));
-    LedgerTime += Cost;
+    Counts.LedgerTime += Cost;
     advanceClock(Cost);
-    statCounter("sim.ledger_syncs").add();
-    statHistogram("sim.ledger_sync_bytes").record(Bytes);
+    static obs::Histogram &Sizes =
+        obs::StatsRegistry::global().histogram("sim.ledger_sync_bytes");
+    Sizes.record(Bytes);
     return true;
   }
 
@@ -212,10 +247,10 @@ public:
   /// Server time includes what drift-phase load spikes added on top of
   /// the static Ts rate.
   Rational clientCompute() const {
-    return Costs.Tc * Rational(static_cast<int64_t>(ClientInstrs));
+    return Costs.Tc * Rational(static_cast<int64_t>(Counts.ClientInstrs));
   }
   Rational serverCompute() const {
-    return Costs.Ts * Rational(static_cast<int64_t>(ServerInstrs)) +
+    return Costs.Ts * Rational(static_cast<int64_t>(Counts.ServerInstrs)) +
            DriftServerExtra;
   }
 
@@ -223,14 +258,14 @@ public:
   /// to faults -- timeouts, backoff waits and latency jitter -- elapses
   /// on the client like any other communication time.
   Rational elapsed() const {
-    return clientCompute() + serverCompute() + SchedulingTime +
-           TransferTime + RegistrationTime + FaultTime + JitterTime +
-           ProbeTime + LedgerTime;
+    return clientCompute() + serverCompute() + Counts.SchedulingTime +
+           Counts.TransferTime + Counts.RegistrationTime + Counts.FaultTime +
+           Counts.ProbeTime + Counts.LedgerTime;
   }
 
   /// Memoized elapsed() for hook-heavy consumers: the timeline recorder
   /// asks for the current time at every segment and message boundary,
-  /// and the full nine-term Rational sum is what made an attached
+  /// and the full eight-term Rational sum is what made an attached
   /// recorder measurably slow down a run. Every non-instruction charge
   /// site bumps ChargeEpoch, so between two reads with an unchanged
   /// epoch the clock can only have advanced by pure compute -- applied
@@ -241,19 +276,19 @@ public:
     if (CacheEpoch != ChargeEpoch) {
       CachedNow = elapsed();
       CacheEpoch = ChargeEpoch;
-      CacheClientInstrs = ClientInstrs;
-      CacheServerInstrs = ServerInstrs;
+      CacheClientInstrs = Counts.ClientInstrs;
+      CacheServerInstrs = Counts.ServerInstrs;
       return CachedNow;
     }
-    if (ClientInstrs != CacheClientInstrs) {
+    if (Counts.ClientInstrs != CacheClientInstrs) {
       CachedNow += Costs.Tc * Rational(static_cast<int64_t>(
-                                  ClientInstrs - CacheClientInstrs));
-      CacheClientInstrs = ClientInstrs;
+                                  Counts.ClientInstrs - CacheClientInstrs));
+      CacheClientInstrs = Counts.ClientInstrs;
     }
-    if (ServerInstrs != CacheServerInstrs) {
+    if (Counts.ServerInstrs != CacheServerInstrs) {
       CachedNow += Costs.Ts * Rational(static_cast<int64_t>(
-                                  ServerInstrs - CacheServerInstrs));
-      CacheServerInstrs = ServerInstrs;
+                                  Counts.ServerInstrs - CacheServerInstrs));
+      CacheServerInstrs = Counts.ServerInstrs;
     }
     return CachedNow;
   }
@@ -270,26 +305,11 @@ public:
            (Model.ActiveAmps * Active + Model.IdleAmps * Idle);
   }
 
-  uint64_t clientInstructions() const { return ClientInstrs; }
-  uint64_t serverInstructions() const { return ServerInstrs; }
-  uint64_t migrations() const { return Migrations; }
-  uint64_t transferCount() const { return Transfers; }
-  uint64_t registrationCount() const { return Registrations; }
-  uint64_t bytesToServer() const { return BytesToServer; }
-  uint64_t bytesToClient() const { return BytesToClient; }
+  /// The run's counters and time buckets. The interpreter counts its
+  /// recovery and adaptation events into the same record.
+  RunCounters &counters() { return Counts; }
+  const RunCounters &counters() const { return Counts; }
 
-  /// Per-component time accounting (audit layer): what the run spent on
-  /// task-scheduling messages, data transfers and registrations.
-  Rational schedulingTime() const { return SchedulingTime; }
-  Rational transferTime() const { return TransferTime; }
-  Rational registrationTime() const { return RegistrationTime; }
-
-  uint64_t retries() const { return Retries; }
-  uint64_t timeouts() const { return Timeouts; }
-  /// Time spent detecting lost messages and waiting out backoff.
-  Rational faultTime() const { return FaultTime; }
-  /// Extra latency suffered by delivered messages.
-  Rational jitterTime() const { return JitterTime; }
   /// The link, exposed for fault-trace inspection.
   const LinkModel &link() const { return Link; }
 
@@ -322,30 +342,7 @@ public:
     PendingCrash = PendingRestart = false;
   }
 
-  uint64_t crashCount() const { return CrashCount; }
-  uint64_t restartCount() const { return RestartCount; }
-  uint64_t probes() const { return Probes; }
-  uint64_t probeFailures() const { return ProbeFailures; }
-  uint64_t ledgerSyncs() const { return LedgerSyncs; }
-  uint64_t ledgerBytes() const { return LedgerBytes; }
-  /// Time spent on recovery probes (delivered and lost alike).
-  Rational probeTime() const { return ProbeTime; }
-  /// Time spent syncing the client-held recovery ledger.
-  Rational ledgerTime() const { return LedgerTime; }
-
-  /// One-line summary for logs.
-  std::string summary() const;
-
 private:
-  /// Registry counter lookup; message-grained call sites only, never the
-  /// per-instruction path.
-  static obs::Counter &statCounter(const char *Name) {
-    return obs::StatsRegistry::global().counter(Name);
-  }
-  static obs::Histogram &statHistogram(const char *Name) {
-    return obs::StatsRegistry::global().histogram(Name);
-  }
-
   /// Runs one logical message through the link: up to 1 + MaxRetries
   /// attempts, charging Tto plus the capped exponential backoff for each
   /// failure. Returns false when every attempt was lost. Backoff waits
@@ -358,29 +355,27 @@ private:
       LinkModel::Attempt A = Link.next(driftDown() || ServerDownNow);
       if (A.Delivered) {
         Rational Jitter(static_cast<int64_t>(A.Jitter));
-        JitterTime += Jitter;
+        Counts.FaultTime += Jitter;
+        Counts.JitterUnits += A.Jitter;
         advanceClock(Jitter);
-        if (A.Jitter != 0)
-          statCounter("sim.jitter_units").add(A.Jitter);
         return true;
       }
-      ++Timeouts;
-      FaultTime += Costs.Tto;
+      ++Counts.Timeouts;
+      Counts.FaultTime += Costs.Tto;
       advanceClock(Costs.Tto);
-      statCounter("sim.timeouts").add();
       if (obs::Tracer::global().enabled())
         obs::Tracer::global().instantEvent(
             "sim.timeout", "sim",
             {{"attempt", static_cast<uint64_t>(Attempt)}});
       if (Attempt == Retry.MaxRetries)
         return false;
-      ++Retries;
+      ++Counts.Retries;
       Rational Backoff = backoffDelay(Retry, Attempt);
-      FaultTime += Backoff;
+      Counts.FaultTime += Backoff;
       advanceClock(Backoff);
-      statCounter("sim.retries").add();
-      statHistogram("sim.backoff_wait_units")
-          .record(saturatingCostUnits(Backoff));
+      static obs::Histogram &Waits =
+          obs::StatsRegistry::global().histogram("sim.backoff_wait_units");
+      Waits.record(saturatingCostUnits(Backoff));
       if (obs::Tracer::global().enabled())
         obs::Tracer::global().instantEvent(
             "sim.backoff_wait", "sim",
@@ -444,8 +439,7 @@ private:
         ServerDownNow = true;
         PendingCrash = true;
         PendingCrashAt = E.At;
-        ++CrashCount;
-        statCounter("sim.crashes").add();
+        ++Counts.Crashes;
         if (obs::Tracer::global().enabled())
           obs::Tracer::global().instantEvent(
               "sim.server_crash", "sim", {{"at", E.At.toString()}});
@@ -455,9 +449,8 @@ private:
         ServerDownNow = false;
         PendingRestart = true;
         PendingRestartAt = E.RestartAt;
-        ++RestartCount;
+        ++Counts.Restarts;
         ++CrashIdx;
-        statCounter("sim.restarts").add();
         if (obs::Tracer::global().enabled())
           obs::Tracer::global().instantEvent(
               "sim.server_restart", "sim",
@@ -470,10 +463,6 @@ private:
   /// the clock mirror and crash-crossing detection); only runs when a
   /// drift or crash schedule is active.
   void clockInstructions(bool OnServer, uint64_t N);
-
-  /// Instruction-count flush granularity for the registry (see
-  /// execInstructions).
-  static constexpr uint64_t kInstrStride = 8192;
 
   CostModel Costs;
   LinkModel Link;
@@ -498,17 +487,7 @@ private:
   mutable uint64_t CacheEpoch = ~0ull;
   mutable uint64_t CacheClientInstrs = 0, CacheServerInstrs = 0;
   mutable Rational CachedNow;
-  uint64_t PendingInstrs = 0;
-  Rational SchedulingTime, TransferTime, RegistrationTime;
-  Rational FaultTime, JitterTime;
-  Rational ProbeTime, LedgerTime;
-  uint64_t ClientInstrs = 0, ServerInstrs = 0;
-  uint64_t Migrations = 0, Transfers = 0, Registrations = 0;
-  uint64_t BytesToServer = 0, BytesToClient = 0;
-  uint64_t Retries = 0, Timeouts = 0;
-  uint64_t CrashCount = 0, RestartCount = 0;
-  uint64_t Probes = 0, ProbeFailures = 0;
-  uint64_t LedgerSyncs = 0, LedgerBytes = 0;
+  RunCounters Counts;
 };
 
 } // namespace paco

@@ -212,7 +212,7 @@ TEST(AdaptationTest, ClosedLoopBeatsStaticAndLocalUnderBandwidthCollapse) {
   EXPECT_NE(Timeline.find("redispatch"), std::string::npos);
   obs::CostAuditReport Audit = obs::auditRun(*CP, Loop, kParams, &Recorder);
   EXPECT_TRUE(Audit.Valid);
-  ASSERT_EQ(Audit.Redispatches.size(), 1u);
+  ASSERT_EQ(Audit.Counters.Redispatches.size(), 1u);
   EXPECT_NE(Audit.Note.find("re-dispatched"), std::string::npos);
   std::string JSON = Audit.toJSON();
   EXPECT_NE(JSON.find("\"redispatches\": [\n"), std::string::npos);

@@ -19,8 +19,11 @@
 
 #include "interp/Interp.h"
 #include "obs/CostAudit.h"
+#include "obs/Stats.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
 
 using namespace paco;
 
@@ -123,6 +126,51 @@ CrashSchedule crashRestart(const Rational &At, const Rational &RestartAt) {
   return Crash;
 }
 
+/// Runs \p Opts and checks the process-wide stats registry against the
+/// result: every sim.* / recovery.* counter must move by exactly its
+/// ExecResult field, and no other counter under those prefixes may move.
+ExecResult runCheckingRegistry(const CompiledProgram &CP,
+                               const ExecOptions &Opts) {
+  std::map<std::string, uint64_t> Before =
+      obs::StatsRegistry::global().snapshot().Counters;
+  ExecResult R = runProgram(CP, Opts);
+  std::map<std::string, uint64_t> After =
+      obs::StatsRegistry::global().snapshot().Counters;
+  const std::map<std::string, uint64_t> Expected = {
+      {"sim.instructions", R.ClientInstrs + R.ServerInstrs},
+      {"sim.migrations", R.Migrations},
+      {"sim.transfers", R.TransferCount},
+      {"sim.bytes_to_server", R.BytesToServer},
+      {"sim.bytes_to_client", R.BytesToClient},
+      {"sim.registrations", R.Registrations},
+      {"sim.timeouts", R.Timeouts},
+      {"sim.retries", R.Retries},
+      {"sim.jitter_units", R.JitterUnits},
+      {"sim.fallbacks", R.Fallbacks},
+      {"sim.crashes", R.Crashes},
+      {"sim.restarts", R.Restarts},
+      {"sim.probes", R.Probes},
+      {"sim.probe_failures", R.ProbeFailures},
+      {"sim.ledger_syncs", R.LedgerSyncs},
+      {"sim.redispatches", R.Redispatches.size()},
+      {"recovery.crash_rollbacks", R.CrashRecoveries},
+      {"recovery.ledger_restores", R.LedgerRestores},
+      {"recovery.reoffloads", R.Reoffloads},
+      {"recovery.ledger_evictions", R.LedgerEvictions},
+      {"recovery.ledger_refetches", R.LedgerRefetches},
+      {"recovery.probe_budget_exhausted", R.ProbeExhaustions},
+  };
+  for (const auto &[Name, Want] : Expected)
+    EXPECT_EQ(After[Name] - Before[Name], Want) << Name;
+  for (const auto &[Name, Value] : After) {
+    bool Run = Name.starts_with("sim.") || Name.starts_with("recovery.");
+    if (Run && Value != Before[Name]) {
+      EXPECT_TRUE(Expected.count(Name)) << Name << " has no ExecResult field";
+    }
+  }
+  return R;
+}
+
 std::string timelineOf(const CompiledProgram &CP,
                        const RuntimeRecorder &Rec) {
   std::vector<std::string> TaskLabels, DataLabels;
@@ -158,7 +206,7 @@ TEST(RecoveryTest, CrashRestartRecoversProbesAndReoffloads) {
   LoopOpts.Adapt = probingClosedLoop();
   LoopOpts.Crash = crashRestart(CrashAt, RestartAt);
   LoopOpts.Recorder = &Recorder;
-  ExecResult Loop = runProgram(*CP, LoopOpts);
+  ExecResult Loop = runCheckingRegistry(*CP, LoopOpts);
   ASSERT_TRUE(Loop.OK) << Loop.Error;
 
   // Correctness first: the crash must be invisible in the outputs.
@@ -211,11 +259,11 @@ TEST(RecoveryTest, CrashRestartRecoversProbesAndReoffloads) {
   // The audit's recovery section agrees and survives to the JSON.
   obs::CostAuditReport Audit = obs::auditRun(*CP, Loop, kParams, &Recorder);
   EXPECT_TRUE(Audit.Valid);
-  EXPECT_TRUE(Audit.Recovery.active());
-  EXPECT_EQ(Audit.Recovery.Crashes, 1u);
-  EXPECT_EQ(Audit.Recovery.Restarts, 1u);
-  EXPECT_EQ(Audit.Recovery.Reoffloads, 1u);
-  EXPECT_EQ(Audit.Recovery.LedgerSyncs, Loop.LedgerSyncs);
+  EXPECT_TRUE(Audit.recoveryActive());
+  EXPECT_EQ(Audit.Counters.Crashes, 1u);
+  EXPECT_EQ(Audit.Counters.Restarts, 1u);
+  EXPECT_EQ(Audit.Counters.Reoffloads, 1u);
+  EXPECT_EQ(Audit.Counters.LedgerSyncs, Loop.LedgerSyncs);
   std::string JSON = Audit.toJSON();
   EXPECT_NE(JSON.find("\"recovery\": {"), std::string::npos);
   EXPECT_NE(JSON.find("\"crashes\": 1"), std::string::npos);
@@ -251,7 +299,7 @@ TEST(RecoveryTest, PermanentCrashExhaustsProbesAndDegrades) {
   LoopOpts.Adapt.ProbeBudget = 3;
   LoopOpts.Crash = crashAt(Fast.Time * Rational::fraction(7, 16));
   LoopOpts.Recorder = &Recorder;
-  ExecResult Loop = runProgram(*CP, LoopOpts);
+  ExecResult Loop = runCheckingRegistry(*CP, LoopOpts);
 
   // The run completes on the client: every probe is lost against the
   // dead server, the budget drains, the fallback becomes permanent, and
@@ -400,6 +448,29 @@ TEST(RecoveryTest, CrashDuringBackoffReplaysBitIdentical) {
             obs::auditRun(*CP, RunA, kParams, &RecA).toJSON());
 }
 
+TEST(RecoveryTest, RegistryMatchesResultUnderDropsAndJitter) {
+  auto CP = compiled();
+  ASSERT_TRUE(CP != nullptr);
+  ExecResult Local = runProgram(*CP, baseOpts(ExecOptions::Placement::AllClient));
+  ASSERT_TRUE(Local.OK) << Local.Error;
+
+  // Drops, jitter and a crash in one run move the message, fault and
+  // recovery counters together.
+  ExecOptions Opts = baseOpts(ExecOptions::Placement::Dispatch);
+  Opts.Adapt.Policy = AdaptationPolicy::ClosedLoop;
+  Opts.Crash = crashRestart(Rational(900000), Rational(940000));
+  Opts.Link.Seed = 3;
+  Opts.Link.DropRate = 0.05;
+  Opts.Link.JitterUnits = 4;
+  ExecResult R = runCheckingRegistry(*CP, Opts);
+  ASSERT_TRUE(R.OK) << R.Error;
+  EXPECT_EQ(R.Outputs, Local.Outputs);
+  EXPECT_GT(R.Timeouts, 0u);
+  EXPECT_GT(R.JitterUnits, 0u);
+  EXPECT_EQ(R.Crashes, 1u);
+  EXPECT_GT(R.LedgerSyncs, 0u);
+}
+
 TEST(RecoveryTest, StaticPolicyHasNoRecoveryPathFromACrash) {
   auto CP = compiled();
   ASSERT_TRUE(CP != nullptr);
@@ -514,7 +585,7 @@ TEST(RecoveryTest, LedgerEvictsAndRefetchesUnderAByteBudget) {
   Opts.Mode = ExecOptions::Placement::Dispatch;
   Opts.Crash = crashAt(Rational(1000000000));
   Opts.LedgerBudgetBytes = 32 * 4; // exactly one pinned array
-  ExecResult Tight = runProgram(*CP, Opts);
+  ExecResult Tight = runCheckingRegistry(*CP, Opts);
   ASSERT_TRUE(Tight.OK) << Tight.Error;
   ASSERT_NE(Tight.ChoiceUsed, KNone);
   EXPECT_EQ(Tight.Outputs, Local.Outputs);

@@ -1,6 +1,7 @@
 //===- tests/obs/CostAuditTest.cpp - Predicted-vs-actual audit tests ------===//
 
 #include "obs/CostAudit.h"
+#include "programs/Programs.h"
 
 #include <gtest/gtest.h>
 
@@ -101,7 +102,7 @@ TEST(CostAuditTest, ForcedOffloadOnNoiselessLinkIsExact) {
   EXPECT_TRUE(Report.Communication.exact());
   EXPECT_TRUE(Report.Registration.exact());
   EXPECT_TRUE(Report.Total.exact());
-  EXPECT_TRUE(Report.FaultUnits.isZero());
+  EXPECT_TRUE(Report.Counters.FaultTime.isZero());
   EXPECT_EQ(Report.Total.relErrorPct(), 0.0);
   EXPECT_TRUE(Report.worstOffenders(5).empty());
 
@@ -176,6 +177,35 @@ TEST(CostAuditTest, AllClientRunAuditsAsBaseline) {
   EXPECT_TRUE(Report.Total.exact());
   // No recorder: no per-message rows.
   EXPECT_TRUE(Report.Messages.empty());
+}
+
+TEST(CostAuditTest, DispatchedFftRunMatchesThePrediction) {
+  // The paper's Figure-13 check on a shipped program: fft dispatched at
+  // (4, 256, 8, 0) on a noiseless link. Every message component the
+  // model prices is exact; only the computation estimate may drift.
+  std::string Diags;
+  auto CP = compileForOffloading(programs::programByName("fft").Source,
+                                 CostModel::defaults(), {}, &Diags);
+  ASSERT_TRUE(CP) << Diags;
+  const std::vector<int64_t> Params = {4, 256, 8, 0};
+  ExecOptions Opts;
+  Opts.Mode = ExecOptions::Placement::Dispatch;
+  Opts.ParamValues = Params;
+  RuntimeRecorder Rec;
+  Opts.Recorder = &Rec;
+  ExecResult Run = runProgram(*CP, Opts);
+  ASSERT_TRUE(Run.OK) << Run.Error;
+
+  CostAuditReport Report = auditRun(*CP, Run, Params, &Rec);
+  EXPECT_TRUE(Report.Valid) << Report.Note;
+  EXPECT_NE(Report.Choice, KNone) << "the dispatch offloads nothing";
+  EXPECT_TRUE(Report.CutMatchesComponents)
+      << "cut " << Report.CutValue.toString() << " vs components "
+      << Report.Total.Predicted.toString();
+  EXPECT_TRUE(Report.Scheduling.exact());
+  EXPECT_TRUE(Report.Communication.exact());
+  EXPECT_TRUE(Report.Registration.exact());
+  EXPECT_LE(Report.Total.relErrorPct(), 1.0);
 }
 
 TEST(CostAuditTest, FailedRunIsInvalid) {

@@ -217,12 +217,12 @@ TEST(SimulatorFaultTest, ExhaustedRetriesChargeTimeoutsAndBackoff) {
   EXPECT_FALSE(Sim.trySchedule(true));
   // 4 attempts time out (5 units each); backoff waits 4, 8, 8 between
   // them (base 4 doubling, capped at 8); no backoff after the last.
-  EXPECT_EQ(Sim.timeouts(), 4u);
-  EXPECT_EQ(Sim.retries(), 3u);
-  EXPECT_EQ(Sim.faultTime(), Rational(4 * 5 + 4 + 8 + 8));
+  EXPECT_EQ(Sim.counters().Timeouts, 4u);
+  EXPECT_EQ(Sim.counters().Retries, 3u);
+  EXPECT_EQ(Sim.counters().FaultTime, Rational(4 * 5 + 4 + 8 + 8));
   // The message never arrived, so no scheduling cost was charged.
-  EXPECT_EQ(Sim.migrations(), 0u);
-  EXPECT_EQ(Sim.elapsed(), Sim.faultTime());
+  EXPECT_EQ(Sim.counters().Migrations, 0u);
+  EXPECT_EQ(Sim.elapsed(), Sim.counters().FaultTime);
 }
 
 TEST(SimulatorFaultTest, TransientOutageRetriesThenDelivers) {
@@ -232,11 +232,11 @@ TEST(SimulatorFaultTest, TransientOutageRetriesThenDelivers) {
   CostModel Costs = timeoutCosts();
   Simulator Sim(Costs, Blip, smallRetry());
   EXPECT_TRUE(Sim.trySchedule(true));
-  EXPECT_EQ(Sim.timeouts(), 2u);
-  EXPECT_EQ(Sim.retries(), 2u);
-  EXPECT_EQ(Sim.faultTime(), Rational(2 * 5 + 4 + 8));
-  EXPECT_EQ(Sim.migrations(), 1u);
-  EXPECT_EQ(Sim.elapsed(), Costs.Tcst + Sim.faultTime());
+  EXPECT_EQ(Sim.counters().Timeouts, 2u);
+  EXPECT_EQ(Sim.counters().Retries, 2u);
+  EXPECT_EQ(Sim.counters().FaultTime, Rational(2 * 5 + 4 + 8));
+  EXPECT_EQ(Sim.counters().Migrations, 1u);
+  EXPECT_EQ(Sim.elapsed(), Costs.Tcst + Sim.counters().FaultTime);
 }
 
 TEST(SimulatorFaultTest, DeliveredJitterIsCharged) {
@@ -249,9 +249,10 @@ TEST(SimulatorFaultTest, DeliveredJitterIsCharged) {
   unsigned Jitter = Twin.next().Jitter;
   Simulator Sim(Costs, Spec, smallRetry());
   EXPECT_TRUE(Sim.tryTransfer(true, 64));
-  EXPECT_EQ(Sim.jitterTime(), Rational(static_cast<int64_t>(Jitter)));
+  EXPECT_EQ(Sim.counters().JitterUnits, Jitter);
+  EXPECT_EQ(Sim.counters().FaultTime, Rational(static_cast<int64_t>(Jitter)));
   EXPECT_EQ(Sim.elapsed(),
-            Costs.Tcsh + Costs.Tcsu * Rational(64) + Sim.jitterTime());
+            Costs.Tcsh + Costs.Tcsu * Rational(64) + Sim.counters().FaultTime);
 }
 
 TEST(SimulatorFaultTest, SameSeedSameCosts) {
@@ -266,8 +267,8 @@ TEST(SimulatorFaultTest, SameSeedSameCosts) {
     B.tryTransfer(I & 1, 128);
   }
   EXPECT_EQ(A.elapsed(), B.elapsed());
-  EXPECT_EQ(A.retries(), B.retries());
-  EXPECT_EQ(A.timeouts(), B.timeouts());
+  EXPECT_EQ(A.counters().Retries, B.counters().Retries);
+  EXPECT_EQ(A.counters().Timeouts, B.counters().Timeouts);
   EXPECT_EQ(A.link().traceString(), B.link().traceString());
 }
 
@@ -276,9 +277,9 @@ TEST(SimulatorFaultTest, FaultFreeLinkBypassesTheLayer) {
   EXPECT_TRUE(Sim.trySchedule(true));
   EXPECT_TRUE(Sim.tryTransfer(false, 32));
   EXPECT_TRUE(Sim.tryRegistration());
-  EXPECT_EQ(Sim.timeouts(), 0u);
-  EXPECT_EQ(Sim.retries(), 0u);
-  EXPECT_TRUE(Sim.faultTime().isZero());
+  EXPECT_EQ(Sim.counters().Timeouts, 0u);
+  EXPECT_EQ(Sim.counters().Retries, 0u);
+  EXPECT_TRUE(Sim.counters().FaultTime.isZero());
   EXPECT_EQ(Sim.link().attempts(), 0u); // no PRNG consumed
 }
 
@@ -293,19 +294,19 @@ TEST(SimulatorFaultTest, DisconnectDuringRetriesIsRiddenOut) {
   Simulator Sim(Costs, Spec, smallRetry());
   EXPECT_TRUE(Sim.trySchedule(true));  // attempt 0, clean
   EXPECT_TRUE(Sim.tryTransfer(true, 64)); // attempts 1, 2 eaten; 3 delivers
-  EXPECT_EQ(Sim.timeouts(), 2u);
-  EXPECT_EQ(Sim.retries(), 2u);
-  EXPECT_EQ(Sim.faultTime(), Rational(2 * 5 + 4 + 8));
+  EXPECT_EQ(Sim.counters().Timeouts, 2u);
+  EXPECT_EQ(Sim.counters().Retries, 2u);
+  EXPECT_EQ(Sim.counters().FaultTime, Rational(2 * 5 + 4 + 8));
   EXPECT_EQ(Sim.link().traceString(), ".DD.");
   EXPECT_EQ(Sim.elapsed(), Costs.Tcst + Costs.Tcsh +
-                               Costs.Tcsu * Rational(64) + Sim.faultTime());
+                               Costs.Tcsu * Rational(64) + Sim.counters().FaultTime);
 
   // Bit-identical replay: the same spec reproduces the exact costs.
   Simulator Replay(Costs, Spec, smallRetry());
   EXPECT_TRUE(Replay.trySchedule(true));
   EXPECT_TRUE(Replay.tryTransfer(true, 64));
   EXPECT_EQ(Replay.elapsed(), Sim.elapsed());
-  EXPECT_EQ(Replay.faultTime(), Sim.faultTime());
+  EXPECT_EQ(Replay.counters().FaultTime, Sim.counters().FaultTime);
   EXPECT_EQ(Replay.link().traceString(), Sim.link().traceString());
 }
 
@@ -369,17 +370,6 @@ TEST(CrashScheduleTest, ValidateRejectsNonMonotonePhases) {
   E.At = Rational(-5);
   Negative.Events.push_back(E);
   EXPECT_NE(Negative.validate().find("non-negative"), std::string::npos);
-}
-
-TEST(SimulatorFaultTest, SummaryMentionsFaultCounters) {
-  FaultSpec DeadLink;
-  DeadLink.DisconnectAt = 0;
-  DeadLink.DisconnectLength = 100;
-  Simulator Sim(timeoutCosts(), DeadLink, smallRetry());
-  EXPECT_FALSE(Sim.trySchedule(true));
-  std::string Text = Sim.summary();
-  EXPECT_NE(Text.find("timeouts=4"), std::string::npos);
-  EXPECT_NE(Text.find("retries=3"), std::string::npos);
 }
 
 } // namespace

@@ -13,8 +13,8 @@ namespace {
 TEST(SimulatorTest, StartsAtZero) {
   Simulator Sim(CostModel::defaults());
   EXPECT_TRUE(Sim.elapsed().isZero());
-  EXPECT_EQ(Sim.clientInstructions(), 0u);
-  EXPECT_EQ(Sim.migrations(), 0u);
+  EXPECT_EQ(Sim.counters().ClientInstrs, 0u);
+  EXPECT_EQ(Sim.counters().Migrations, 0u);
 }
 
 TEST(SimulatorTest, InstructionAccounting) {
@@ -22,8 +22,8 @@ TEST(SimulatorTest, InstructionAccounting) {
   Simulator Sim(Costs);
   Sim.execInstructions(false, 100);
   Sim.execInstructions(true, 50);
-  EXPECT_EQ(Sim.clientInstructions(), 100u);
-  EXPECT_EQ(Sim.serverInstructions(), 50u);
+  EXPECT_EQ(Sim.counters().ClientInstrs, 100u);
+  EXPECT_EQ(Sim.counters().ServerInstrs, 50u);
   EXPECT_EQ(Sim.elapsed(), Costs.Tc * Rational(100) + Costs.Ts * Rational(50));
 }
 
@@ -32,10 +32,10 @@ TEST(SimulatorTest, TransferCostsStartupPlusBytes) {
   Simulator Sim(Costs);
   Sim.transfer(true, 256);
   EXPECT_EQ(Sim.elapsed(), Costs.Tcsh + Costs.Tcsu * Rational(256));
-  EXPECT_EQ(Sim.bytesToServer(), 256u);
+  EXPECT_EQ(Sim.counters().BytesToServer, 256u);
   Sim.transfer(false, 64);
-  EXPECT_EQ(Sim.bytesToClient(), 64u);
-  EXPECT_EQ(Sim.transferCount(), 2u);
+  EXPECT_EQ(Sim.counters().BytesToClient, 64u);
+  EXPECT_EQ(Sim.counters().TransferCount, 2u);
 }
 
 TEST(SimulatorTest, SchedulingAndRegistration) {
@@ -44,8 +44,8 @@ TEST(SimulatorTest, SchedulingAndRegistration) {
   Sim.schedule(true);
   Sim.schedule(false);
   Sim.registration();
-  EXPECT_EQ(Sim.migrations(), 2u);
-  EXPECT_EQ(Sim.registrationCount(), 1u);
+  EXPECT_EQ(Sim.counters().Migrations, 2u);
+  EXPECT_EQ(Sim.counters().Registrations, 1u);
   EXPECT_EQ(Sim.elapsed(), Costs.Tcst + Costs.Tsct + Costs.Ta);
 }
 
@@ -82,15 +82,6 @@ TEST(SimulatorTest, AllClientRunDrawsOnlyActiveCurrent) {
   double Expected = Model.Volts * Model.ActiveAmps *
                     Sim.elapsed().toDouble() * Model.UnitSeconds;
   EXPECT_NEAR(Sim.energyJoules(Model), Expected, Expected * 1e-12);
-}
-
-TEST(SimulatorTest, SummaryMentionsCounters) {
-  Simulator Sim(CostModel::defaults());
-  Sim.execInstructions(false, 3);
-  Sim.transfer(true, 8);
-  std::string Text = Sim.summary();
-  EXPECT_NE(Text.find("client_instrs=3"), std::string::npos);
-  EXPECT_NE(Text.find("to_server=8B"), std::string::npos);
 }
 
 TEST(SimulatorTest, PaperExampleCostsAreFree) {
@@ -158,11 +149,11 @@ TEST(SimulatorDriftTest, TimedOutageRecoversViaBackoff) {
   Simulator Sim(Costs, FaultSpec(), Retry, Drift);
   EXPECT_TRUE(Sim.trySchedule(true));
   // t=0 down (+5, +4), t=9 down (+5, +8), t=22 down (+5, +16), t=43 up.
-  EXPECT_EQ(Sim.timeouts(), 3u);
-  EXPECT_EQ(Sim.retries(), 3u);
-  EXPECT_EQ(Sim.faultTime(), Rational(3 * 5 + 4 + 8 + 16));
-  EXPECT_EQ(Sim.migrations(), 1u);
-  EXPECT_EQ(Sim.elapsed(), Sim.faultTime() + Costs.Tcst);
+  EXPECT_EQ(Sim.counters().Timeouts, 3u);
+  EXPECT_EQ(Sim.counters().Retries, 3u);
+  EXPECT_EQ(Sim.counters().FaultTime, Rational(3 * 5 + 4 + 8 + 16));
+  EXPECT_EQ(Sim.counters().Migrations, 1u);
+  EXPECT_EQ(Sim.elapsed(), Sim.counters().FaultTime + Costs.Tcst);
   EXPECT_EQ(Sim.driftClock(), Sim.elapsed());
 }
 
