@@ -310,18 +310,22 @@ int main(int argc, char **argv) {
   std::fclose(Out);
   std::printf("\nwrote %s\n", OutPath);
 
-  // Acceptance gate: with a restart the closed loop must re-offload and
-  // beat both the fail-fast total and the never-offload run; without
-  // one it must drain the probe budget and settle locally; under drift
-  // it must still beat fail-fast. Static must have failed every time --
-  // that failure is the problem this PR exists to remove.
+  // Acceptance gate: every scenario's closed loop beats the fail-fast
+  // total. With a restart it must restore from the ledger, re-offload and
+  // beat the never-offload run; without one it must drain the probe
+  // budget and settle locally; under drift it must still re-offload.
+  // Static must have failed every time -- that failure is the baseline
+  // the recovery ledger exists to remove.
   bool Pass = RestartR.StaticFails && PermanentR.StaticFails &&
               DriftR.StaticFails && RestartR.Loop.Reoffloads >= 1 &&
               !RestartR.Loop.Degraded &&
+              RestartR.Loop.LedgerRestores >= 1 &&
               RestartR.Loop.Time < RestartR.FailFastTotal &&
               RestartR.Loop.Time < RestartR.Local.Time &&
               PermanentR.Loop.Degraded && PermanentR.Loop.Reoffloads == 0 &&
               PermanentR.Loop.ProbeFailures == PermanentR.Loop.Probes &&
+              PermanentR.Loop.Time < PermanentR.FailFastTotal &&
+              DriftR.Loop.Reoffloads >= 1 &&
               DriftR.Loop.Time < DriftR.FailFastTotal;
   std::printf("\nBENCH {\"name\":\"recovery\","
               "\"restart_closed_loop\":%.0f,\"restart_fail_fast\":%.0f,"

@@ -6,6 +6,7 @@
 
 #include "interp/Interp.h"
 
+#include "ir/IntArith.h"
 #include "obs/Trace.h"
 #include "partition/Reprice.h"
 
@@ -56,16 +57,24 @@ struct Value {
   }
 };
 
+/// MemRegion::Saved bits, one per host copy.
+enum : uint8_t { SavedClient = 1, SavedServer = 2, SavedBoth = 3 };
+
 /// One memory region with its two host copies and their ground-truth
 /// validity. A write on one host invalidates the other copy; a transfer
 /// always sources the valid copy (the static validity certificate does
 /// not constrain source-side validity -- see crossTask), and a read from
-/// an invalid copy is an analysis bug the interpreter reports.
+/// an invalid copy is an analysis bug the interpreter reports. Two valid
+/// copies always hold the same elements.
 struct MemRegion {
   unsigned LocId = KNone;
   bool Live = true;
   bool ClientValid = true;
   bool ServerValid = true;
+  /// Copies that may change without being saved first: the undo log
+  /// already holds them, the region is newer than the checkpoint, or no
+  /// checkpoint is in force.
+  uint8_t Saved = SavedBoth;
   /// Counts server-side writes to this region. The recovery ledger keys
   /// pin freshness on it: a pin taken at version V is exactly the server
   /// content until the next server store. Transfers do not bump it --
@@ -145,14 +154,24 @@ private:
     return Id;
   }
 
+  /// Frees a region. Its copies die with it: one the undo log still
+  /// needs moves there, the other is released.
   void killRegion(unsigned Id) {
-    Regions[Id].Live = false;
-    std::vector<unsigned> &List = LiveOfLoc[Regions[Id].LocId];
+    MemRegion &R = Regions[Id];
+    std::vector<unsigned> &List = LiveOfLoc[R.LocId];
     for (size_t I = List.size(); I-- > 0;)
       if (List[I] == Id)
         List.erase(List.begin() + static_cast<long>(I));
-    Regions[Id].Client.clear();
-    Regions[Id].Server.clear();
+    for (bool OfServer : {false, true}) {
+      std::vector<Value> &Data = OfServer ? R.Server : R.Client;
+      uint8_t Bit = OfServer ? SavedServer : SavedClient;
+      if (!(R.Saved & Bit)) {
+        pushUndo(Id, OfServer).Data = std::move(Data);
+        R.Saved |= Bit;
+      }
+      std::vector<Value>().swap(Data);
+    }
+    R.Live = false;
   }
 
   std::vector<Value> &sideOf(unsigned Region) {
@@ -180,6 +199,8 @@ private:
     std::vector<Value> &Data = sideOf(Region);
     if (Off < 0 || static_cast<size_t>(Off) >= Data.size())
       return fail("out-of-bounds store at offset " + std::to_string(Off));
+    if (!(R.Saved & (OnServer ? SavedServer : SavedClient)))
+      saveCopy(Region, OnServer);
     Data[static_cast<size_t>(Off)] = V;
     // Writing makes this host's copy the truth.
     if (OnServer) {
@@ -211,6 +232,10 @@ private:
   const std::vector<Movement> &transferSet(unsigned A, unsigned B);
 
   bool crossTask(unsigned NewTask);
+
+  /// Makes region \p Id's \p ToServer copy valid from the other one, if
+  /// that one is valid (the data side of a transfer).
+  void validateCopy(unsigned Id, bool ToServer);
 
   //===--------------------------------------------------------------===//
   // Timeline recording
@@ -306,17 +331,23 @@ private:
   // Fault recovery
   //
   // While the link can fault and the policy allows degrading, the
-  // machine snapshots its full state at every task boundary (taken at
-  // the top of the interpreter loop, where no instruction is mid-
-  // flight). When a message later exhausts its retries, the run rolls
-  // back to that snapshot and finishes on the client alone: I/O done
+  // machine checkpoints at every task boundary (at the top of the
+  // interpreter loop, where no instruction is mid-flight). A checkpoint
+  // copies only the call stack and the cursors; memory is kept by an
+  // undo log instead. The first store, transfer or free that changes a
+  // region copy after the checkpoint saves that copy, with the region's
+  // validity state, into the log, so a checkpoint costs what changed
+  // since the previous one. When a message later exhausts its retries,
+  // the run rolls back -- the logged copies go back, regions allocated
+  // since are dropped -- and finishes on the client alone: I/O done
   // since the checkpoint is rewound with it, so outputs stay exactly
   // the all-client outputs.
   //===--------------------------------------------------------------===//
 
   struct Checkpoint {
-    std::vector<MemRegion> Regions;
-    std::map<unsigned, std::vector<unsigned>> LiveOfLoc;
+    /// Regions.size() at the checkpoint; zero once a rollback consumed
+    /// it, so the next checkpoint re-arms saving for every region.
+    size_t RegionCount = 0;
     std::vector<Frame> Stack;
     unsigned CurrentTask = KNone;
     unsigned CurFunc = KNone;
@@ -326,10 +357,57 @@ private:
     size_t OutputCount = 0;
   };
 
+  /// One region copy as the checkpoint left it, with the region's state
+  /// just before the change that saved it.
+  struct UndoEntry {
+    unsigned Id = KNone;
+    bool OfServer = false; ///< Which copy Data holds.
+    bool Live = false;
+    bool ClientValid = false;
+    bool ServerValid = false;
+    uint64_t ServerVersion = 0;
+    std::vector<Value> Data;
+  };
+
+  /// Appends an undo entry for region \p Id's state. Entries are reused
+  /// across checkpoints, so a steady run keeps their buffers.
+  UndoEntry &pushUndo(unsigned Id, bool OfServer) {
+    if (UndoLen == Undo.size())
+      Undo.emplace_back();
+    UndoEntry &E = Undo[UndoLen++];
+    const MemRegion &R = Regions[Id];
+    E.Id = Id;
+    E.OfServer = OfServer;
+    E.Live = R.Live;
+    E.ClientValid = R.ClientValid;
+    E.ServerValid = R.ServerValid;
+    E.ServerVersion = R.ServerVersion;
+    return E;
+  }
+
+  /// Saves region \p Id's \p OfServer copy before its first change since
+  /// the checkpoint.
+  void saveCopy(unsigned Id, bool OfServer) {
+    MemRegion &R = Regions[Id];
+    const std::vector<Value> &Data = OfServer ? R.Server : R.Client;
+    pushUndo(Id, OfServer).Data.assign(Data.begin(), Data.end());
+    Counts.CheckpointBytes += Data.size() * sizeof(Value);
+    R.Saved |= OfServer ? SavedServer : SavedClient;
+  }
+
   void takeCheckpoint() {
-    Ckpt.Regions = Regions;
-    Ckpt.LiveOfLoc = LiveOfLoc;
+    // What changed since the previous checkpoint is now the state to
+    // keep: re-arm saving for the logged regions and the new ones.
+    for (size_t I = 0; I != UndoLen; ++I)
+      Regions[Undo[I].Id].Saved = 0;
+    for (size_t Id = Ckpt.RegionCount; Id != Regions.size(); ++Id)
+      Regions[Id].Saved = 0;
+    UndoLen = 0;
+    Ckpt.RegionCount = Regions.size();
     Ckpt.Stack = Stack;
+    for (const Frame &F : Stack)
+      Counts.CheckpointBytes +=
+          sizeof(Frame) + F.LocalRegions.size() * sizeof(unsigned);
     Ckpt.CurrentTask = CurrentTask;
     Ckpt.CurFunc = CurFunc;
     Ckpt.CurBlock = CurBlock;
@@ -341,14 +419,35 @@ private:
   /// Restores the last checkpoint and resumes on the client -- either as
   /// a permanent degrade (the PR-1 behavior) or, under ClosedLoop with
   /// probe budget left, as a temporary LocalFallback the recovery probes
-  /// can later lift. The snapshot is moved out: every rollback consumes a
+  /// can later lift. The undo log is consumed: every rollback consumes a
   /// checkpoint taken since the previous rollback (boundary checkpoints,
   /// the redispatch checkpoint, or the pre-re-offload checkpoint
-  /// maybeProbe takes), so no checkpoint is ever restored twice.
+  /// maybeProbe takes), so no checkpoint is ever restored twice, and until
+  /// the next one nothing is logged.
   void restoreCheckpoint() {
     recEndSegment(); // The failed message may have left no open segment.
-    Regions = std::move(Ckpt.Regions);
-    LiveOfLoc = std::move(Ckpt.LiveOfLoc);
+    // Newest entry first, so a region's oldest entry -- its state at the
+    // checkpoint -- sets its flags last.
+    for (size_t I = UndoLen; I-- > 0;) {
+      UndoEntry &E = Undo[I];
+      MemRegion &Region = Regions[E.Id];
+      Region.Live = E.Live;
+      Region.ClientValid = E.ClientValid;
+      Region.ServerValid = E.ServerValid;
+      Region.ServerVersion = E.ServerVersion;
+      (E.OfServer ? Region.Server : Region.Client).swap(E.Data);
+    }
+    UndoLen = 0;
+    Regions.resize(Ckpt.RegionCount);
+    // No checkpoint is in force until the next one is taken.
+    for (MemRegion &Region : Regions)
+      Region.Saved = SavedBoth;
+    Ckpt.RegionCount = 0;
+    for (std::vector<unsigned> &List : LiveOfLoc)
+      List.clear();
+    for (unsigned Id = 0; Id != Regions.size(); ++Id)
+      if (Regions[Id].Live)
+        LiveOfLoc[Regions[Id].LocId].push_back(Id);
     Stack = std::move(Ckpt.Stack);
     CurrentTask = Ckpt.CurrentTask;
     CurFunc = Ckpt.CurFunc;
@@ -358,8 +457,8 @@ private:
     Result.Outputs.resize(Ckpt.OutputCount);
     OnServer = false;
     // The client recovers data it had shipped to the server from its
-    // shadow copies (the checkpoint retains them while the server is
-    // alive); after this merge plus the ledger restores below, the
+    // shadow copies (the checkpoint state retains them while the server
+    // is alive); after this merge plus the ledger restores below, the
     // client copy of every live region is authoritative.
     for (MemRegion &Region : Regions)
       if (Region.Live && !Region.ClientValid && Region.ServerValid) {
@@ -367,10 +466,11 @@ private:
         Region.ClientValid = true;
       }
     // After a crash the server copies are gone (onServerCrash invalidated
-    // them in the snapshot too): items whose authoritative copy died come
-    // back from the client-held recovery ledger. Sync-before-checkpoint
-    // and the never-evict-needed-pins rule guarantee a version-matched
-    // pin for each; a miss here is an internal invariant violation.
+    // them in the checkpoint state too): items whose authoritative copy
+    // died come back from the client-held recovery ledger.
+    // Sync-before-checkpoint and the never-evict-needed-pins rule
+    // guarantee a version-matched pin for each; a miss here is an internal
+    // invariant violation.
     uint64_t Restored = 0;
     for (unsigned Id = 0; Id != Regions.size(); ++Id) {
       MemRegion &Region = Regions[Id];
@@ -449,7 +549,7 @@ private:
       return false;
     // A crash may have crossed during the failed message itself (its
     // retries can outlive the server). Process it before restoring: the
-    // snapshot's server copies must be invalidated first, so the shadow
+    // checkpoint's server copies must be invalidated first, so the shadow
     // merge cannot "recover" data from a dead process -- only the
     // ledger can.
     if (CrashArmed && Sim.serverEventPending()) {
@@ -506,13 +606,14 @@ private:
     }
     if (Ev)
       event(obs::LogLevel::Warn, "server-crash", At);
-    // The server process died: both the live state and the snapshot lose
-    // their server-side copies (the snapshot's "server" halves lived in
-    // the same process).
+    // The server process died: both the live state and the checkpoint
+    // state lose their server-side copies (the saved "server" halves
+    // lived in the same process). A region the undo log does not hold is
+    // at its checkpoint state, so clearing its flag clears both.
     for (MemRegion &Region : Regions)
       Region.ServerValid = false;
-    for (MemRegion &Region : Ckpt.Regions)
-      Region.ServerValid = false;
+    for (size_t I = 0; I != UndoLen; ++I)
+      Undo[I].ServerValid = false;
     if (Choice == KNone || Degraded || LocalFallback)
       return true; // Already running entirely on the client.
     if (EffPolicy != FaultPolicy::DegradeToLocal || !CheckpointsOn)
@@ -553,11 +654,16 @@ private:
         ++It;
       }
     }
+    // Live regions in ascending id order, so ledger messages keep the
+    // order of the regions' allocation.
+    LiveIds.clear();
+    for (const std::vector<unsigned> &List : LiveOfLoc)
+      LiveIds.insert(LiveIds.end(), List.begin(), List.end());
+    std::sort(LiveIds.begin(), LiveIds.end());
     bool SplitSegment = false;
-    for (unsigned Id = 0; Id != Regions.size(); ++Id) {
+    for (unsigned Id : LiveIds) {
       MemRegion &Region = Regions[Id];
-      bool Needed =
-          Region.Live && !Region.ClientValid && Region.ServerValid;
+      bool Needed = !Region.ClientValid && Region.ServerValid;
       auto It = Ledger.find(Id);
       if (It != Ledger.end()) {
         It->second.Needed = Needed;
@@ -767,10 +873,17 @@ private:
   //===--------------------------------------------------------------===//
 
   /// Re-prices choice \p C (KNone = all-client) at the run's parameter
-  /// point under \p Model.
-  Rational reprice(unsigned C, const CostModel &Model) const {
-    return repriceChoice(CP.Graph, *CP.Memory, CP.Problem, CP.Partition, C,
-                         FullPoint, Model);
+  /// point under \p Model. The point is fixed for the run, so each
+  /// choice's coefficients are computed once, on first use.
+  Rational reprice(unsigned C, const CostModel &Model) {
+    if (PriceCoeffs.empty())
+      PriceCoeffs.resize(CP.Partition.Choices.size() + 1);
+    std::optional<PriceCoefficients> &K =
+        PriceCoeffs[C == KNone ? CP.Partition.Choices.size() : C];
+    if (!K)
+      K = priceCoefficients(CP.Graph, *CP.Memory, CP.Problem, CP.Partition,
+                            C, FullPoint);
+    return price(*K, Model);
   }
 
   /// The drift detector; runs right after a boundary checkpoint.
@@ -839,10 +952,13 @@ private:
   std::optional<OnlineProfiler> Prof; ///< Armed iff ClosedLoop.
   std::vector<Rational> FullPoint;    ///< Parameter point (closed loop /
                                       ///< dispatch).
+  /// reprice's coefficients per choice, all-client last.
+  std::vector<std::optional<PriceCoefficients>> PriceCoeffs;
   ExecResult Result;
 
   std::vector<MemRegion> Regions;
-  std::map<unsigned, std::vector<unsigned>> LiveOfLoc;
+  std::vector<std::vector<unsigned>> LiveOfLoc; ///< Live region ids per loc,
+                                                ///< ascending.
   std::vector<unsigned> GlobalRegion; ///< Region per module global.
   std::vector<unsigned> RetRegion;    ///< Region per function ret loc.
   std::vector<Frame> Stack;
@@ -854,12 +970,13 @@ private:
   unsigned CurBlock = KNone;
   size_t InstrIdx = 0;
   size_t InputPos = 0;
-  uint64_t Executed = 0;
   bool Failed = false;
   bool Finished = false;
 
   Checkpoint Ckpt;
-  bool CheckpointsOn = false; ///< Snapshot at task boundaries.
+  std::vector<UndoEntry> Undo; ///< Entries [0, UndoLen) are in force.
+  size_t UndoLen = 0;
+  bool CheckpointsOn = false; ///< Checkpoint at task boundaries.
   bool Degraded = false;      ///< Link declared dead; run pinned to client.
   bool WantRollback = false;  ///< A link failure requested a rollback.
 
@@ -871,6 +988,7 @@ private:
   std::map<unsigned, LedgerPin> Ledger; ///< Pins, keyed by region id.
   std::vector<std::pair<unsigned, LedgerPin>> PendingPins;
   std::set<unsigned> EvictedOnce; ///< Evicted ids (refetch accounting).
+  std::vector<unsigned> LiveIds;  ///< syncLedger's scratch.
   uint64_t PinnedBytes = 0;
   uint64_t LedgerSeq = 0; ///< Monotone LRU clock.
   unsigned LastFallbackTask = KNone;
@@ -963,10 +1081,9 @@ bool Machine::crossTask(unsigned NewTask) {
                    Move.ToServer ? "c2s" : "s2c");
     uint64_t Bytes = 0;
     unsigned ElemBytes = elementBytes(CP.Memory->loc(Move.LocId).ElemType);
-    auto LiveIt = LiveOfLoc.find(Move.LocId);
-    if (LiveIt != LiveOfLoc.end())
-      for (unsigned RegionId : LiveIt->second)
-        Bytes += Regions[RegionId].Client.size() * ElemBytes;
+    const std::vector<unsigned> &Live = LiveOfLoc[Move.LocId];
+    for (unsigned RegionId : Live)
+      Bytes += Regions[RegionId].Client.size() * ElemBytes;
     // Drive the message through the (possibly lossy) link first; the
     // destination copies change only when the data actually arrives.
     if (!recMessage(MessageRecord::Kind::Transfer, Move.ToServer, OldTask,
@@ -982,31 +1099,34 @@ bool Machine::crossTask(unsigned NewTask) {
            {"loc", static_cast<uint64_t>(Move.LocId)},
            {"bytes", Bytes},
            {"dir", Move.ToServer ? "c2s" : "s2c"}});
-    if (LiveIt != LiveOfLoc.end()) {
-      for (unsigned RegionId : LiveIt->second) {
-        // The transfer's purpose is to validate the destination copy; the
-        // data always comes from the currently valid copy (the static
-        // certificate may schedule a transfer whose nominal source copy
-        // is stale -- nothing in the paper's constraint system forbids
-        // it -- in which case the destination is already up to date and
-        // only the cost is charged).
-        MemRegion &Region = Regions[RegionId];
-        if (Move.ToServer) {
-          if (Region.ClientValid) {
-            Region.Server = Region.Client;
-            Region.ServerValid = true;
-          }
-        } else {
-          if (Region.ServerValid) {
-            Region.Client = Region.Server;
-            Region.ClientValid = true;
-          }
-        }
-      }
-    }
+    // The transfer's purpose is to validate the destination copy; the
+    // data always comes from the currently valid copy (the static
+    // certificate may schedule a transfer whose nominal source copy is
+    // stale -- nothing in the paper's constraint system forbids it -- in
+    // which case the destination is already up to date and only the
+    // cost is charged).
+    for (unsigned RegionId : Live)
+      validateCopy(RegionId, Move.ToServer);
   }
   recBeginSegment();
   return true;
+}
+
+void Machine::validateCopy(unsigned Id, bool ToServer) {
+  MemRegion &Region = Regions[Id];
+  // Two valid copies are equal: only a stale destination changes.
+  if (!(ToServer ? Region.ClientValid && !Region.ServerValid
+                 : Region.ServerValid && !Region.ClientValid))
+    return;
+  if (!(Region.Saved & (ToServer ? SavedServer : SavedClient)))
+    saveCopy(Id, ToServer);
+  if (ToServer) {
+    Region.Server = Region.Client;
+    Region.ServerValid = true;
+  } else {
+    Region.Client = Region.Server;
+    Region.ClientValid = true;
+  }
 }
 
 bool Machine::maybeAdapt() {
@@ -1060,13 +1180,13 @@ bool Machine::maybeAdapt() {
 }
 
 bool Machine::migrateLoc(unsigned D, bool ToServer) {
-  auto LiveIt = LiveOfLoc.find(D);
-  if (LiveIt == LiveOfLoc.end() || LiveIt->second.empty())
+  const std::vector<unsigned> &Live = LiveOfLoc[D];
+  if (Live.empty())
     return true;
   bool Stale = false;
   uint64_t Bytes = 0;
   unsigned ElemBytes = elementBytes(CP.Memory->loc(D).ElemType);
-  for (unsigned RegionId : LiveIt->second) {
+  for (unsigned RegionId : Live) {
     const MemRegion &Region = Regions[RegionId];
     Stale = Stale || !(ToServer ? Region.ServerValid : Region.ClientValid);
     Bytes += Region.Client.size() * ElemBytes;
@@ -1077,22 +1197,9 @@ bool Machine::migrateLoc(unsigned D, bool ToServer) {
                   CurrentTask, D, Bytes,
                   [&] { return Sim.tryTransfer(ToServer, Bytes); }))
     return linkLost("re-dispatch data transfer");
-  for (unsigned RegionId : LiveIt->second) {
-    // Like crossTask: the valid copy is the source; a region whose
-    // destination copy is already valid is untouched.
-    MemRegion &Region = Regions[RegionId];
-    if (ToServer) {
-      if (Region.ClientValid) {
-        Region.Server = Region.Client;
-        Region.ServerValid = true;
-      }
-    } else {
-      if (Region.ServerValid) {
-        Region.Client = Region.Server;
-        Region.ClientValid = true;
-      }
-    }
-  }
+  // Like crossTask: the valid copy is the source.
+  for (unsigned RegionId : Live)
+    validateCopy(RegionId, ToServer);
   return true;
 }
 
@@ -1126,11 +1233,9 @@ bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   }
   if (Choice == KNone) {
     // All-client from here on: every live region must be client-valid.
-    for (const auto &[D, RegionList] : LiveOfLoc) {
-      (void)RegionList;
+    for (unsigned D = 0; D != LiveOfLoc.size(); ++D)
       if (!migrateLoc(D, /*ToServer=*/false))
         return false;
-    }
   } else {
     for (unsigned D : CP.Problem.DataItems) {
       auto It = CP.Problem.VNodes.find({CurrentTask, D});
@@ -1238,32 +1343,40 @@ bool Machine::execArith(const Instr &I) {
   bool IsDouble = I.Ty == TypeKind::Double;
   switch (I.Op) {
   case Opcode::Add:
-    Out = IsDouble ? Value::ofDouble(A.D + B.D) : Value::ofInt(A.I + B.I);
+    Out = IsDouble ? Value::ofDouble(A.D + B.D)
+                   : Value::ofInt(wrapAdd(A.I, B.I));
     break;
   case Opcode::Sub:
-    Out = IsDouble ? Value::ofDouble(A.D - B.D) : Value::ofInt(A.I - B.I);
+    Out = IsDouble ? Value::ofDouble(A.D - B.D)
+                   : Value::ofInt(wrapSub(A.I, B.I));
     break;
   case Opcode::Mul:
-    Out = IsDouble ? Value::ofDouble(A.D * B.D) : Value::ofInt(A.I * B.I);
+    Out = IsDouble ? Value::ofDouble(A.D * B.D)
+                   : Value::ofInt(wrapMul(A.I, B.I));
     break;
   case Opcode::Div:
     if (IsDouble) {
       Out = Value::ofDouble(B.D == 0.0 ? 0.0 : A.D / B.D);
     } else {
-      if (B.I == 0)
-        return fail("integer division by zero");
+      if (divisionTraps(A.I, B.I))
+        return fail(B.I == 0 ? "integer division by zero"
+                             : "integer division overflow");
       Out = Value::ofInt(A.I / B.I);
     }
     break;
   case Opcode::Rem:
-    if (B.I == 0)
-      return fail("integer remainder by zero");
+    if (divisionTraps(A.I, B.I))
+      return fail(B.I == 0 ? "integer remainder by zero"
+                           : "integer remainder overflow");
     Out = Value::ofInt(A.I % B.I);
     break;
   case Opcode::And: Out = Value::ofInt(A.I & B.I); break;
   case Opcode::Or:  Out = Value::ofInt(A.I | B.I); break;
   case Opcode::Xor: Out = Value::ofInt(A.I ^ B.I); break;
-  case Opcode::Shl: Out = Value::ofInt(A.I << (B.I & 63)); break;
+  case Opcode::Shl:
+    Out = Value::ofInt(
+        static_cast<int64_t>(static_cast<uint64_t>(A.I) << (B.I & 63)));
+    break;
   case Opcode::Shr: Out = Value::ofInt(A.I >> (B.I & 63)); break;
   case Opcode::CmpLt:
   case Opcode::CmpLe:
@@ -1328,7 +1441,7 @@ bool Machine::execInstr(const Instr &I) {
       return false;
     return writeLocal(I.Dst, I.Ty == TypeKind::Double
                                  ? Value::ofDouble(-A.D)
-                                 : Value::ofInt(-A.I));
+                                 : Value::ofInt(wrapNeg(A.I)));
   }
   case Opcode::Not: {
     Value A;
@@ -1353,13 +1466,13 @@ bool Machine::execInstr(const Instr &I) {
     if (!evalOperand(I.A, A) || !evalOperand(I.B, B))
       return false;
     return writeLocal(I.Dst,
-                      Value::ofPointer(I.Ty, A.Region, A.Off + B.I));
+                      Value::ofPointer(I.Ty, A.Region, wrapAdd(A.Off, B.I)));
   }
   case Opcode::Load: {
     Value A, B, Out;
     if (!evalOperand(I.A, A) || !evalOperand(I.B, B))
       return false;
-    if (!loadMem(A.Region, A.Off + B.I, Out))
+    if (!loadMem(A.Region, wrapAdd(A.Off, B.I), Out))
       return false;
     return writeLocal(I.Dst, Out);
   }
@@ -1368,7 +1481,7 @@ bool Machine::execInstr(const Instr &I) {
     if (!evalOperand(I.A, A) || !evalOperand(I.B, B) ||
         !evalOperand(I.C, C))
       return false;
-    return storeMem(A.Region, A.Off + B.I, C);
+    return storeMem(A.Region, wrapAdd(A.Off, B.I), C);
   }
   case Opcode::Malloc: {
     Value A;
@@ -1427,16 +1540,16 @@ bool Machine::execInstr(const Instr &I) {
       if (IsRead) {
         int64_t In = nextInput();
         Value V;
-        if (!loadMem(A.Region, A.Off + K, V))
+        if (!loadMem(A.Region, wrapAdd(A.Off, K), V))
           return false;
         Value New = V.K == TypeKind::Double
                         ? Value::ofDouble(static_cast<double>(In))
                         : Value::ofInt(In);
-        if (!storeMem(A.Region, A.Off + K, New))
+        if (!storeMem(A.Region, wrapAdd(A.Off, K), New))
           return false;
       } else {
         Value V;
-        if (!loadMem(A.Region, A.Off + K, V))
+        if (!loadMem(A.Region, wrapAdd(A.Off, K), V))
           return false;
         Result.Outputs.push_back(V.K == TypeKind::Double
                                      ? V.D
@@ -1540,6 +1653,7 @@ ExecResult Machine::run() {
                                   : "forced"))
         .field("closed_loop", ClosedLoop);
 
+  LiveOfLoc.resize(CP.Memory->numLocs());
   // Globals: client copies take the initializers, server copies start
   // zeroed (they are invalid until a transfer).
   GlobalRegion.resize(CP.Module->Globals.size());
@@ -1674,8 +1788,8 @@ ExecResult Machine::run() {
     // Charge the instruction's cost weight: 1 straight from lowering, or
     // the folded weight of optimized-away neighbours, so simulated time
     // and instruction accounting match the unoptimized program exactly.
-    Executed += I.Units;
-    if (Executed > Opts.MaxInstructions) {
+    if (Counts.ClientInstrs + Counts.ServerInstrs + I.Units >
+        Opts.MaxInstructions) {
       fail("instruction budget exceeded",
            ExecResult::FailureKind::InstructionLimit);
       break;
@@ -1699,7 +1813,7 @@ ExecResult Machine::run() {
   for (unsigned T = 0; T != TaskInstrCounts.size(); ++T)
     if (TaskInstrCounts[T])
       Result.TaskInstrs[T] = TaskInstrCounts[T];
-  Span.arg("instructions", Executed);
+  Span.arg("instructions", Counts.ClientInstrs + Counts.ServerInstrs);
   Span.arg("transfers", Result.TransferCount);
   Span.arg("migrations", Result.Migrations);
   if (Ev)

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ir/IntArith.h"
 #include "ir/passes/PassInternal.h"
 
 #include <cstdint>
@@ -21,22 +22,6 @@ using namespace paco;
 using namespace paco::passes;
 
 namespace {
-
-int64_t wrapAdd(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) +
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapSub(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) -
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapMul(int64_t A, int64_t B) {
-  return static_cast<int64_t>(static_cast<uint64_t>(A) *
-                              static_cast<uint64_t>(B));
-}
-int64_t wrapNeg(int64_t A) {
-  return static_cast<int64_t>(0 - static_cast<uint64_t>(A));
-}
 
 bool isInt(const Operand &O) { return O.K == Operand::Kind::ConstInt; }
 bool isFloat(const Operand &O) { return O.K == Operand::Kind::ConstFloat; }
@@ -121,11 +106,11 @@ std::optional<Operand> foldInstr(const Instr &I) {
   case Opcode::Sub: return Operand::constInt(wrapSub(A, B));
   case Opcode::Mul: return Operand::constInt(wrapMul(A, B));
   case Opcode::Div:
-    if (B == 0 || (B == -1 && A == INT64_MIN))
+    if (divisionTraps(A, B))
       return std::nullopt; // keep the run-time failure observable
     return Operand::constInt(A / B);
   case Opcode::Rem:
-    if (B == 0 || (B == -1 && A == INT64_MIN))
+    if (divisionTraps(A, B))
       return std::nullopt;
     return Operand::constInt(A % B);
   case Opcode::And: return Operand::constInt(A & B);

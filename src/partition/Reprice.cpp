@@ -8,24 +8,24 @@
 
 using namespace paco;
 
-Rational paco::repriceChoice(const TCFG &Graph, const MemoryModel &Memory,
-                             const PartitionProblem &Problem,
-                             const ParametricResult &Partition,
-                             unsigned Choice,
-                             const std::vector<Rational> &Point,
-                             const CostModel &Costs) {
+PriceCoefficients paco::priceCoefficients(const TCFG &Graph,
+                                          const MemoryModel &Memory,
+                                          const PartitionProblem &Problem,
+                                          const ParametricResult &Partition,
+                                          unsigned Choice,
+                                          const std::vector<Rational> &Point) {
+  enum { Tc, Ts, Tcst, Tsct, Tcsh, Tcsu, Tsch, Tscu, Ta };
   auto onServer = [&](unsigned Task) {
     return Choice != KNone && Partition.Choices[Choice].TaskOnServer[Task];
   };
   auto value = [&](NodeId N) { return Partition.nodeValue(Choice, N); };
 
   // Computation: every task runs at its host's rate.
-  Rational Total;
+  PriceCoefficients C;
   for (unsigned V = 0; V != Graph.numTasks(); ++V)
-    Total += Graph.Tasks[V].ComputeUnits.evaluate(Point) *
-             (onServer(V) ? Costs.Ts : Costs.Tc);
+    C[onServer(V) ? Ts : Tc] += Graph.Tasks[V].ComputeUnits.evaluate(Point);
   if (Choice == KNone)
-    return Total;
+    return C;
 
   // Messages, mirroring the audit's arc semantics: scheduling on
   // placement-crossing edges, transfers where an item becomes valid on
@@ -38,23 +38,52 @@ Rational paco::repriceChoice(const TCFG &Graph, const MemoryModel &Memory,
     bool MU = onServer(U), MV = onServer(V);
     Rational Count = CountExpr.evaluate(Point);
     if (!MU && MV)
-      Total += Count * Costs.Tcst;
+      C[Tcst] += Count;
     else if (MU && !MV)
-      Total += Count * Costs.Tsct;
-    for (unsigned D : Problem.DataItems) {
-      auto UIt = Problem.VNodes.find({U, D});
-      auto VIt = Problem.VNodes.find({V, D});
-      if (UIt == Problem.VNodes.end() || VIt == Problem.VNodes.end())
+      C[Tsct] += Count;
+    // The data items with validity nodes at both ends: VNodes is sorted by
+    // (task, item), so merge U's and V's runs by item.
+    auto UIt = Problem.VNodes.lower_bound({U, 0});
+    auto UEnd = Problem.VNodes.lower_bound({U + 1, 0});
+    auto VIt = Problem.VNodes.lower_bound({V, 0});
+    auto VEnd = Problem.VNodes.lower_bound({V + 1, 0});
+    while (UIt != UEnd && VIt != VEnd) {
+      unsigned D = UIt->first.second;
+      if (D != VIt->first.second) {
+        if (D < VIt->first.second)
+          ++UIt;
+        else
+          ++VIt;
+        continue;
+      }
+      const ValidityNodes &UN = (UIt++)->second, &VN = (VIt++)->second;
+      bool ToServer = value(VN.Vsi) && !value(UN.Vso);
+      bool ToClient = value(UN.NVco) && !value(VN.NVci);
+      if (!ToServer && !ToClient)
         continue;
       Rational Bytes = Memory.byteSize(D).evaluate(Point);
-      if (value(VIt->second.Vsi) && !value(UIt->second.Vso))
-        Total += Count * (Costs.Tcsh + Bytes * Costs.Tcsu);
-      if (value(UIt->second.NVco) && !value(VIt->second.NVci))
-        Total += Count * (Costs.Tsch + Bytes * Costs.Tscu);
+      if (ToServer) {
+        C[Tcsh] += Count;
+        C[Tcsu] += Count * Bytes;
+      }
+      if (ToClient) {
+        C[Tsch] += Count;
+        C[Tscu] += Count * Bytes;
+      }
     }
   }
   for (const auto &[D, Nodes] : Problem.AccessNodes)
     if (value(Nodes.first) && !value(Nodes.second))
-      Total += Memory.loc(D).AllocCount.evaluate(Point) * Costs.Ta;
+      C[Ta] += Memory.loc(D).AllocCount.evaluate(Point);
+  return C;
+}
+
+Rational paco::price(const PriceCoefficients &C, const CostModel &Costs) {
+  const Rational *Constants[] = {&Costs.Tc,   &Costs.Ts,   &Costs.Tcst,
+                                 &Costs.Tsct, &Costs.Tcsh, &Costs.Tcsu,
+                                 &Costs.Tsch, &Costs.Tscu, &Costs.Ta};
+  Rational Total;
+  for (size_t I = 0; I != C.size(); ++I)
+    Total += C[I] * *Constants[I];
   return Total;
 }

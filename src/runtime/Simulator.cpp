@@ -8,25 +8,77 @@
 
 using namespace paco;
 
-void Simulator::clockInstructions(bool OnServer, uint64_t N) {
-  Rational T = (OnServer ? Costs.Ts : Costs.Tc) *
-               Rational(static_cast<int64_t>(N));
-  if (OnServer && DriftOn) {
-    if (const DriftPhase *P = phaseNow()) {
-      static const Rational One(1);
-      if (P->ServerScale != One) {
-        // The spike surcharge is tracked separately so serverCompute()
-        // can stay derived from the instruction counter.
-        Rational Extra = T * (P->ServerScale - One);
-        DriftServerExtra += Extra;
-        ++ChargeEpoch; // Surcharge is outside the instruction counters.
-        T += Extra;
-      }
+void Simulator::passInstants() {
+  const Rational &T = now();
+  // A crash window is [At, RestartAt) -- or [At, inf) when the event
+  // never restarts -- during which serverDown() holds. Crossings are
+  // flagged for the interpreter.
+  while (CrashOn && CrashIdx != Crashes.Events.size()) {
+    const ServerCrash &E = Crashes.Events[CrashIdx];
+    if (!ServerDownNow) {
+      if (T < E.At)
+        break;
+      ServerDownNow = true;
+      PendingCrash = true;
+      PendingCrashAt = E.At;
+      ++Counts.Crashes;
+      if (obs::Tracer::global().enabled())
+        obs::Tracer::global().instantEvent("sim.server_crash", "sim",
+                                           {{"at", E.At.toString()}});
+    } else {
+      if (!E.Restarts || T < E.RestartAt)
+        break;
+      ServerDownNow = false;
+      PendingRestart = true;
+      PendingRestartAt = E.RestartAt;
+      ++Counts.Restarts;
+      ++CrashIdx;
+      if (obs::Tracer::global().enabled())
+        obs::Tracer::global().instantEvent(
+            "sim.server_restart", "sim", {{"at", E.RestartAt.toString()}});
     }
   }
-  DriftNow += T;
-  if (CrashOn)
-    pollServerClock();
+  passPhases(T);
+}
+
+void Simulator::passPhases(const Rational &T) {
+  size_t Passed = PhaseIdx;
+  while (PhaseIdx != Drift.Phases.size() && !(T < Drift.Phases[PhaseIdx].At))
+    ++PhaseIdx;
+  if (PhaseIdx == Passed)
+    return;
+  // A new server rate from here on: fold the old rate's surcharge.
+  if (ServerRate != Costs.Ts)
+    SpikeExtra +=
+        (ServerRate - Costs.Ts) *
+        Rational(static_cast<int64_t>(Counts.ServerInstrs - SpikeMark));
+  SpikeMark = Counts.ServerInstrs;
+  ServerRate = Costs.Ts * phaseNow()->ServerScale;
+}
+
+void Simulator::reachInstant(bool OnServer) {
+  passInstants();
+  // The next instant: the next phase start, crash or restart.
+  const Rational *Next = nullptr;
+  if (PhaseIdx != Drift.Phases.size())
+    Next = &Drift.Phases[PhaseIdx].At;
+  if (CrashOn && CrashIdx != Crashes.Events.size()) {
+    const ServerCrash &E = Crashes.Events[CrashIdx];
+    const Rational *At =
+        !ServerDownNow ? &E.At : (E.Restarts ? &E.RestartAt : nullptr);
+    if (At && (!Next || *At < *Next))
+      Next = At;
+  }
+  // A chunk of N units starting now reaches Next iff N >= (Next - now) /
+  // Rate; with no instant left or a zero rate it never does.
+  CountdownOnServer = OnServer;
+  Countdown = UINT64_MAX;
+  const Rational &Rate = OnServer ? ServerRate : Costs.Tc;
+  if (!Next || Rate.sign() <= 0)
+    return;
+  BigInt Units = ((*Next - now()) / Rate).ceil();
+  if (Units.fitsInt64())
+    Countdown = static_cast<uint64_t>(Units.toInt64());
 }
 
 void paco::publish(const RunCounters &C) {
@@ -59,4 +111,5 @@ void paco::publish(const RunCounters &C) {
   add("recovery.ledger_refetches", C.LedgerRefetches);
   add("recovery.probe_budget_exhausted", C.ProbeExhaustions);
   add("recovery.reoffloads", C.Reoffloads);
+  add("recovery.checkpoint_bytes", C.CheckpointBytes);
 }

@@ -81,6 +81,9 @@ struct RunCounters {
   uint64_t LedgerEvictions = 0;  ///< Pins evicted under the byte budget.
   uint64_t LedgerRefetches = 0;  ///< Evicted pins fetched again later.
   uint64_t LedgerPeakBytes = 0;  ///< Ledger high-water mark.
+  /// Host bytes the task-boundary checkpoints copied: region copies saved
+  /// into the undo log before their first change, plus call stacks.
+  uint64_t CheckpointBytes = 0;
   Rational ProbeTime;            ///< Time spent probing.
   Rational LedgerTime;           ///< Time spent syncing the ledger.
 
@@ -98,7 +101,8 @@ void publish(const RunCounters &C);
 /// Accumulates the execution costs of one run.
 class Simulator {
 public:
-  explicit Simulator(const CostModel &Costs) : Costs(Costs) {}
+  explicit Simulator(const CostModel &Costs)
+      : Costs(Costs), ServerRate(Costs.Ts) {}
 
   /// A simulator whose link follows the injected fault schedule \p Faults
   /// and retries lost messages under \p Retry. An active \p Drift
@@ -114,21 +118,30 @@ public:
       : Costs(Costs), Link(Faults), Retry(Retry), Drift(Drift),
         Crashes(Crash), DriftOn(this->Drift.active()),
         CrashOn(this->Crashes.active()),
-        ClockOn(DriftOn || CrashOn) {
+        ClockOn(DriftOn || CrashOn), ServerRate(Costs.Ts) {
     for (const DriftPhase &P : this->Drift.Phases)
       DriftHasDown = DriftHasDown || P.Down;
+    if (DriftOn)
+      passPhases(now()); // Phases from time zero; crashes wait for a charge.
   }
 
   /// Accounts \p N instructions on the active host. Costs are derived
   /// from the counters on demand, so this is a bare increment on the
-  /// interpreter's hottest path.
+  /// interpreter's hottest path. While a drift or crash schedule is
+  /// active it also counts down the whole instruction units left before
+  /// the next scheduled instant; only the chunk that reaches it, or the
+  /// first chunk after a message or a host change, takes the exact path.
   void execInstructions(bool OnServer, uint64_t N) {
     if (OnServer)
       Counts.ServerInstrs += N;
     else
       Counts.ClientInstrs += N;
-    if (ClockOn)
-      clockInstructions(OnServer, N);
+    if (!ClockOn)
+      return;
+    if (OnServer == CountdownOnServer && N < Countdown)
+      Countdown -= N;
+    else
+      reachInstant(OnServer);
   }
 
   /// Accounts one task-scheduling message.
@@ -250,8 +263,13 @@ public:
     return Costs.Tc * Rational(static_cast<int64_t>(Counts.ClientInstrs));
   }
   Rational serverCompute() const {
-    return Costs.Ts * Rational(static_cast<int64_t>(Counts.ServerInstrs)) +
-           DriftServerExtra;
+    Rational T =
+        Costs.Ts * Rational(static_cast<int64_t>(Counts.ServerInstrs)) +
+        SpikeExtra;
+    if (ServerRate != Costs.Ts)
+      T += (ServerRate - Costs.Ts) *
+           Rational(static_cast<int64_t>(Counts.ServerInstrs - SpikeMark));
+    return T;
   }
 
   /// Total elapsed time in cost units (hosts never overlap). Time lost
@@ -263,31 +281,23 @@ public:
            Counts.ProbeTime + Counts.LedgerTime;
   }
 
-  /// Memoized elapsed() for hook-heavy consumers: the timeline recorder
+  /// The simulated clock: elapsed(), memoized. The timeline recorder
   /// asks for the current time at every segment and message boundary,
-  /// and the full eight-term Rational sum is what made an attached
-  /// recorder measurably slow down a run. Every non-instruction charge
-  /// site bumps ChargeEpoch, so between two reads with an unchanged
-  /// epoch the clock can only have advanced by pure compute -- applied
-  /// here incrementally from the instruction counters. Exact: Rational
-  /// arithmetic is canonical, so the incremental sum is bit-identical
-  /// to a fresh elapsed().
+  /// and the drift and crash layers index their schedules by it, so the
+  /// eight-term Rational sum is never recomputed: advanceClock adds each
+  /// message or fault charge to the memo, and pure compute since the
+  /// last read is applied here from the instruction counters at the
+  /// rates in force. Exact: Rational arithmetic is canonical, so the
+  /// incremental sum is bit-identical to a fresh elapsed().
   const Rational &now() const {
-    if (CacheEpoch != ChargeEpoch) {
-      CachedNow = elapsed();
-      CacheEpoch = ChargeEpoch;
-      CacheClientInstrs = Counts.ClientInstrs;
-      CacheServerInstrs = Counts.ServerInstrs;
-      return CachedNow;
-    }
     if (Counts.ClientInstrs != CacheClientInstrs) {
       CachedNow += Costs.Tc * Rational(static_cast<int64_t>(
                                   Counts.ClientInstrs - CacheClientInstrs));
       CacheClientInstrs = Counts.ClientInstrs;
     }
     if (Counts.ServerInstrs != CacheServerInstrs) {
-      CachedNow += Costs.Ts * Rational(static_cast<int64_t>(
-                                  Counts.ServerInstrs - CacheServerInstrs));
+      CachedNow += ServerRate * Rational(static_cast<int64_t>(
+                                    Counts.ServerInstrs - CacheServerInstrs));
       CacheServerInstrs = Counts.ServerInstrs;
     }
     return CachedNow;
@@ -315,10 +325,6 @@ public:
 
   /// The drift schedule driving this run (empty when static).
   const DriftSchedule &drift() const { return Drift; }
-  /// The simulated clock the drift/crash layer maintains incrementally;
-  /// always equals elapsed() while a schedule is active (invariant-
-  /// checked by the tests), and stays zero otherwise.
-  const Rational &driftClock() const { return DriftNow; }
 
   /// The crash schedule driving this run (empty when the server is
   /// assumed reliable).
@@ -385,19 +391,21 @@ private:
   }
 
   //===------------------------------------------------------------------===//
-  // Clock layer (drift + crashes). DriftNow mirrors elapsed()
-  // incrementally (every charge site advances it) so the piecewise drift
-  // schedule and the crash windows can be indexed by the current
-  // simulated time without re-deriving the total; the cursors only move
-  // forward because simulated time is monotone.
+  // Clock layer (drift + crashes). The clock is now(); its instants are
+  // the drift-phase starts and the crash and restart times. The cursors
+  // only move forward because simulated time is monotone. Between two
+  // instants each host computes at a fixed rate (the server's scaled by
+  // the phase in force), so the number of whole instruction units left
+  // before the next instant is an integer, computed exactly once per
+  // message charge or host change (reachInstant) and then counted down
+  // by execInstructions. The chunk that reaches an instant is charged
+  // entirely at the rates in force when it started.
   //===------------------------------------------------------------------===//
 
   /// The phase in effect at the current simulated time, or null before
-  /// the first phase (the static cost model).
-  const DriftPhase *phaseNow() {
-    while (PhaseIdx != Drift.Phases.size() &&
-           !(DriftNow < Drift.Phases[PhaseIdx].At))
-      ++PhaseIdx;
+  /// the first phase (the static cost model). passInstants keeps the
+  /// cursor current.
+  const DriftPhase *phaseNow() const {
     return PhaseIdx ? &Drift.Phases[PhaseIdx - 1] : nullptr;
   }
 
@@ -410,59 +418,34 @@ private:
   }
 
   /// True while a Down phase covers the current simulated time.
-  bool driftDown() {
+  bool driftDown() const {
     if (!DriftHasDown)
       return false;
     const DriftPhase *P = phaseNow();
     return P && P->Down;
   }
 
+  /// Adds a message or fault charge (already booked in its bucket) to
+  /// the clock. Under a schedule it also consumes the instants the
+  /// charge reached and makes the next instruction chunk re-arm the
+  /// countdown.
   void advanceClock(const Rational &Delta) {
-    ++ChargeEpoch; // Invalidate the now() memo: a comm/fault bucket grew.
-    if (!ClockOn)
-      return;
-    DriftNow += Delta;
-    if (CrashOn)
-      pollServerClock();
-  }
-
-  /// Advances the crash cursor past every crash/restart instant the
-  /// clock has crossed, flagging crossings for the interpreter. A crash
-  /// window is [At, RestartAt) -- or [At, inf) when the event never
-  /// restarts -- during which serverDown() holds.
-  void pollServerClock() {
-    while (CrashIdx != Crashes.Events.size()) {
-      const ServerCrash &E = Crashes.Events[CrashIdx];
-      if (!ServerDownNow) {
-        if (DriftNow < E.At)
-          return;
-        ServerDownNow = true;
-        PendingCrash = true;
-        PendingCrashAt = E.At;
-        ++Counts.Crashes;
-        if (obs::Tracer::global().enabled())
-          obs::Tracer::global().instantEvent(
-              "sim.server_crash", "sim", {{"at", E.At.toString()}});
-      } else {
-        if (!E.Restarts || DriftNow < E.RestartAt)
-          return;
-        ServerDownNow = false;
-        PendingRestart = true;
-        PendingRestartAt = E.RestartAt;
-        ++Counts.Restarts;
-        ++CrashIdx;
-        if (obs::Tracer::global().enabled())
-          obs::Tracer::global().instantEvent(
-              "sim.server_restart", "sim",
-              {{"at", E.RestartAt.toString()}});
-      }
+    now(); // Charge the pending instructions at the rates in force.
+    CachedNow += Delta;
+    if (ClockOn) {
+      passInstants();
+      Countdown = 0;
     }
   }
 
-  /// Out-of-line per-instruction clock charging (server load spikes plus
-  /// the clock mirror and crash-crossing detection); only runs when a
-  /// drift or crash schedule is active.
-  void clockInstructions(bool OnServer, uint64_t N);
+  /// Moves the crash and drift cursors past every instant the clock has
+  /// reached.
+  void passInstants();
+  void passPhases(const Rational &T);
+
+  /// The slow path of execInstructions: passes the instants the clock
+  /// reached and re-arms the countdown for the host \p OnServer.
+  void reachInstant(bool OnServer);
 
   CostModel Costs;
   LinkModel Link;
@@ -478,13 +461,19 @@ private:
   bool ServerDownNow = false;
   bool PendingCrash = false, PendingRestart = false;
   Rational PendingCrashAt, PendingRestartAt;
-  Rational DriftNow;         ///< Incremental mirror of elapsed().
-  Rational DriftServerExtra; ///< Load-spike surcharge on server compute.
+  // Server compute rate of the phase in force, Ts * ServerScale. A load
+  // spike's surcharge over Ts is SpikeExtra plus (ServerRate - Ts) per
+  // server instruction since SpikeMark.
+  Rational ServerRate;
+  Rational SpikeExtra;
+  uint64_t SpikeMark = 0;
+  // The countdown: whole instruction units on host CountdownOnServer
+  // before the clock reaches the next instant (saturated at the uint64_t
+  // range; zero forces a re-arm).
+  uint64_t Countdown = 0;
+  bool CountdownOnServer = false;
   // now() memo (mutable: a pure-compute refresh is not an observable
-  // state change). CacheEpoch starts out of sync to force the first
-  // read through the full sum.
-  uint64_t ChargeEpoch = 0;
-  mutable uint64_t CacheEpoch = ~0ull;
+  // state change). It starts in sync with the all-zero clock.
   mutable uint64_t CacheClientInstrs = 0, CacheServerInstrs = 0;
   mutable Rational CachedNow;
   RunCounters Counts;

@@ -203,6 +203,63 @@ TEST(InterpTest, DivisionByZeroFails) {
   EXPECT_NE(R.Error.find("division"), std::string::npos);
 }
 
+TEST(InterpTest, IntegerOverflowWrapsLikeUint64) {
+  // Operands come from the input so constant folding cannot see them; the
+  // program compares each result with the expected one itself, since
+  // io_write rounds a large int to a double.
+  auto CP = compileOk("void main() {\n"
+                      "  int a = io_read(); int b = io_read();\n"
+                      "  int c = io_read();\n"
+                      "  io_write(a * b == c);\n"
+                      "  io_write((a * b) & 65535);\n"
+                      "}\n");
+  auto wrapped = [](int64_t A, int64_t B) {
+    return static_cast<int64_t>(static_cast<uint64_t>(A) *
+                                static_cast<uint64_t>(B));
+  };
+  for (auto [A, B] : {std::pair<int64_t, int64_t>{5623740275504626306, 5},
+                      {INT64_MIN, -1},
+                      {INT64_MAX, INT64_MAX},
+                      {-3037000500, 3037000500}}) {
+    int64_t Want = wrapped(A, B);
+    ExecResult R = runClient(*CP, {}, {A, B, Want});
+    EXPECT_EQ(R.Outputs, (std::vector<double>{1, double(Want & 65535)}))
+        << A << " * " << B;
+  }
+  auto Edges = compileOk("void main() {\n"
+                         "  int m = io_read(); int x = io_read();\n"
+                         "  io_write(-m == m);\n"
+                         "  io_write(x + 1 == m);\n"
+                         "  io_write(m - 1 == x);\n"
+                         "}\n");
+  ExecResult R = runClient(*Edges, {}, {INT64_MIN, INT64_MAX});
+  EXPECT_EQ(R.Outputs, (std::vector<double>{1, 1, 1}));
+}
+
+TEST(InterpTest, DivisionOverflowFailsTheRun) {
+  // INT64_MIN / -1 has no int64 quotient; like a zero divisor it is a run
+  // failure with a one-line diagnostic, never a host trap.
+  for (std::string Op : {"/", "%"}) {
+    auto CP = compileOk("void main() { int a = io_read(); int b = io_read();"
+                        " io_write(a " + Op + " b); }");
+    ExecOptions Opts;
+    Opts.Inputs = {INT64_MIN, -1};
+    ExecResult R = runProgram(*CP, Opts);
+    EXPECT_FALSE(R.OK);
+    EXPECT_EQ(R.Failure, ExecResult::FailureKind::BadInput);
+    EXPECT_EQ(R.Error.find('\n'), std::string::npos);
+    EXPECT_NE(R.Error.find(Op == "/" ? "integer division overflow"
+                                     : "integer remainder overflow"),
+              std::string::npos)
+        << R.Error;
+    // Any other divisor by -1 is fine.
+    Opts.Inputs = {INT64_MIN + 1, -1};
+    R = runProgram(*CP, Opts);
+    ASSERT_TRUE(R.OK) << R.Error;
+    EXPECT_EQ(R.Outputs[0], Op == "/" ? double(INT64_MAX) : 0.0);
+  }
+}
+
 TEST(InterpTest, OutOfBoundsFails) {
   auto CP = compileOk("int t[2];\n"
                       "void main() { int i = io_read(); t[i] = 1; }");

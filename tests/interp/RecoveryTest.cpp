@@ -20,6 +20,7 @@
 #include "interp/Interp.h"
 #include "obs/CostAudit.h"
 #include "obs/Stats.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -159,6 +160,7 @@ ExecResult runCheckingRegistry(const CompiledProgram &CP,
       {"recovery.ledger_evictions", R.LedgerEvictions},
       {"recovery.ledger_refetches", R.LedgerRefetches},
       {"recovery.probe_budget_exhausted", R.ProbeExhaustions},
+      {"recovery.checkpoint_bytes", R.CheckpointBytes},
   };
   for (const auto &[Name, Want] : Expected)
     EXPECT_EQ(After[Name] - Before[Name], Want) << Name;
@@ -303,8 +305,10 @@ TEST(RecoveryTest, PermanentCrashExhaustsProbesAndDegrades) {
 
   // The run completes on the client: every probe is lost against the
   // dead server, the budget drains, the fallback becomes permanent, and
-  // no probe loop spins forever.
+  // no probe loop spins forever. It still beats fail-fast (all work up
+  // to the crash wasted, full local rerun).
   ASSERT_TRUE(Loop.OK) << Loop.Error;
+  EXPECT_LT(Loop.Time, Fast.Time * Rational::fraction(7, 16) + Local.Time);
   EXPECT_EQ(Loop.Outputs, Local.Outputs);
   EXPECT_EQ(Loop.Crashes, 1u);
   EXPECT_EQ(Loop.Restarts, 0u);
@@ -469,6 +473,89 @@ TEST(RecoveryTest, RegistryMatchesResultUnderDropsAndJitter) {
   EXPECT_GT(R.JitterUnits, 0u);
   EXPECT_EQ(R.Crashes, 1u);
   EXPECT_GT(R.LedgerSyncs, 0u);
+}
+
+TEST(RecoveryTest, CrashUnderDriftStillRecoversAndReoffloads) {
+  auto CP = compiled();
+  ASSERT_TRUE(CP != nullptr);
+  ExecResult Local = runProgram(*CP, baseOpts(ExecOptions::Placement::AllClient));
+  ASSERT_TRUE(Local.OK) << Local.Error;
+  ExecResult Fast = runProgram(*CP, baseOpts(ExecOptions::Placement::Dispatch));
+  ASSERT_TRUE(Fast.OK) << Fast.Error;
+
+  // bench_recovery's crash_under_drift: the link has degraded 4x an
+  // eighth of the way in when the crash of the restart scenario hits.
+  const Rational CrashAt = Fast.Time * Rational::fraction(7, 16);
+  DriftSchedule Degrade4x;
+  DriftPhase P;
+  P.At = Fast.Time * Rational::fraction(1, 8);
+  P.CommScale = Rational(4);
+  Degrade4x.Phases.push_back(P);
+  ExecOptions Opts = baseOpts(ExecOptions::Placement::Dispatch);
+  Opts.Crash =
+      crashRestart(CrashAt, CrashAt + Fast.Time * Rational::fraction(1, 64));
+  Opts.Drift = Degrade4x;
+
+  ExecOptions Static = Opts;
+  Static.Adapt.Policy = AdaptationPolicy::Static;
+  EXPECT_FALSE(runProgram(*CP, Static).OK);
+
+  Opts.Adapt = probingClosedLoop();
+  ExecResult Loop = runCheckingRegistry(*CP, Opts);
+  ASSERT_TRUE(Loop.OK) << Loop.Error;
+  EXPECT_EQ(Loop.Outputs, Local.Outputs);
+  EXPECT_EQ(Loop.Crashes, 1u);
+  EXPECT_GE(Loop.Reoffloads, 1u);
+  EXPECT_LT(Loop.Time, CrashAt + Local.Time);
+}
+
+TEST(RecoveryTest, ExplorerCrashRunTracesAndAuditsTheLifecycle) {
+  // `offload_explorer ci_stateful.mc --params 16,32,1000 --run
+  // --adapt=closed-loop --crash="at=900000,restart=940000" --trace=...
+  // --audit=...`, where ci_stateful.mc is this file's pipeline: the
+  // explorer runs the library's closed-loop defaults on empty input.
+  auto CP = compiled();
+  ASSERT_TRUE(CP != nullptr);
+  ExecOptions LocalOpts = baseOpts(ExecOptions::Placement::AllClient);
+  LocalOpts.Inputs.clear();
+  ExecResult Local = runProgram(*CP, LocalOpts);
+  ASSERT_TRUE(Local.OK) << Local.Error;
+
+  RuntimeRecorder Recorder;
+  ExecOptions Opts = baseOpts(ExecOptions::Placement::Dispatch);
+  Opts.Inputs.clear();
+  Opts.Adapt.Policy = AdaptationPolicy::ClosedLoop;
+  Opts.Crash = crashRestart(Rational(900000), Rational(940000));
+  Opts.Recorder = &Recorder;
+  ExecResult R = runProgram(*CP, Opts);
+  ASSERT_TRUE(R.OK) << R.Error;
+  EXPECT_EQ(R.Outputs, Local.Outputs);
+
+  obs::Tracer Trace;
+  Trace.enable();
+  std::vector<std::string> TaskLabels, DataLabels;
+  for (const TCFG::Task &Task : CP->Graph.Tasks)
+    TaskLabels.push_back(Task.Label);
+  for (unsigned D = 0; D != CP->Memory->numLocs(); ++D)
+    DataLabels.push_back(CP->Memory->loc(D).Name);
+  Recorder.emitChromeLanes(Trace, TaskLabels, DataLabels);
+  std::string JSON = Trace.toJSON();
+  for (const char *Name : {"server-crash", "crash-fallback", "server-restart",
+                           "probe", "ledger-sync", "re-offload"})
+    EXPECT_NE(JSON.find(std::string("{\"name\": \"") + Name + "\""),
+              std::string::npos)
+        << "no " << Name << " event in the Chrome trace";
+
+  obs::CostAuditReport Audit = obs::auditRun(*CP, R, kParams, &Recorder);
+  EXPECT_TRUE(Audit.Valid) << Audit.Note;
+  EXPECT_EQ(Audit.Counters.Crashes, 1u);
+  EXPECT_EQ(Audit.Counters.Restarts, 1u);
+  EXPECT_GE(Audit.Counters.LedgerRestores, 1u);
+  EXPECT_GE(Audit.Counters.Probes, 1u);
+  EXPECT_EQ(Audit.Counters.Reoffloads, 1u);
+  EXPECT_GE(Audit.Counters.LedgerSyncs, 1u);
+  EXPECT_GT(Audit.Counters.LedgerSyncBytes, 0u);
+  EXPECT_NE(Audit.toJSON().find("\"recovery\": {"), std::string::npos);
 }
 
 TEST(RecoveryTest, StaticPolicyHasNoRecoveryPathFromACrash) {

@@ -116,7 +116,7 @@ TEST(SimulatorDriftTest, CommScaleAppliesFromPhaseStart) {
   Sim.execInstructions(false, 20000); // pushes the clock past the ramp
   Sim.transfer(true, 256); // after: 4x
   EXPECT_EQ(Sim.elapsed(), Base + Rational(20000) + Base * Rational(4));
-  EXPECT_EQ(Sim.driftClock(), Sim.elapsed());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
 }
 
 TEST(SimulatorDriftTest, ServerLoadSpikeSlowsServerCompute) {
@@ -130,7 +130,7 @@ TEST(SimulatorDriftTest, ServerLoadSpikeSlowsServerCompute) {
   EXPECT_EQ(Sim.serverCompute(), Costs.Ts * Rational(100) * Rational(2));
   Sim.execInstructions(false, 100); // client rate is untouched
   EXPECT_EQ(Sim.clientCompute(), Costs.Tc * Rational(100));
-  EXPECT_EQ(Sim.driftClock(), Sim.elapsed());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
 }
 
 TEST(SimulatorDriftTest, TimedOutageRecoversViaBackoff) {
@@ -154,7 +154,7 @@ TEST(SimulatorDriftTest, TimedOutageRecoversViaBackoff) {
   EXPECT_EQ(Sim.counters().FaultTime, Rational(3 * 5 + 4 + 8 + 16));
   EXPECT_EQ(Sim.counters().Migrations, 1u);
   EXPECT_EQ(Sim.elapsed(), Sim.counters().FaultTime + Costs.Tcst);
-  EXPECT_EQ(Sim.driftClock(), Sim.elapsed());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
 }
 
 TEST(SimulatorDriftTest, SameScheduleSameCosts) {
@@ -175,8 +175,202 @@ TEST(SimulatorDriftTest, SameScheduleSameCosts) {
   }
   EXPECT_EQ(A.elapsed(), B.elapsed());
   EXPECT_EQ(A.link().traceString(), B.link().traceString());
-  EXPECT_EQ(A.driftClock(), A.elapsed());
-  EXPECT_EQ(B.driftClock(), B.elapsed());
+  EXPECT_EQ(A.now(), A.elapsed());
+  EXPECT_EQ(B.now(), B.elapsed());
+}
+
+//===----------------------------------------------------------------------===//
+// Clock instants: crash, restart and drift-phase starts reached inside a
+// multi-unit instruction chunk, exactly at a chunk's end, and through a
+// message charge. Each crossing must show after the same call that made
+// it, and now() must equal elapsed() after every step.
+//===----------------------------------------------------------------------===//
+
+/// Round constants so the instants below land where the comments say:
+/// client 1 unit per instruction, server 1/2, scheduling 8, transfers 6
+/// per message plus 1 per byte, timeout 5.
+CostModel clockCosts() {
+  CostModel C = CostModel::defaults();
+  C.Tc = Rational(1);
+  C.Ts = Rational::fraction(1, 2);
+  C.Tcst = Rational(8);
+  C.Tsct = Rational(8);
+  C.Tcsh = Rational(6);
+  C.Tsch = Rational(6);
+  C.Tcsu = Rational(1);
+  C.Tscu = Rational(1);
+  C.Tto = Rational(5);
+  return C;
+}
+
+CrashSchedule crashWindow(int64_t At, int64_t RestartAt) {
+  CrashSchedule Crash;
+  ServerCrash E;
+  E.At = Rational(At);
+  E.Restarts = true;
+  E.RestartAt = Rational(RestartAt);
+  Crash.Events.push_back(E);
+  return Crash;
+}
+
+/// Consumes the pending server events; returns "crash@T", "restart@T",
+/// both joined by '+', or "" when none is pending.
+std::string takeEvents(Simulator &Sim) {
+  bool Crashed = false, Restarted = false;
+  Rational CrashedAt, RestartedAt;
+  Sim.takeServerEvents(Crashed, CrashedAt, Restarted, RestartedAt);
+  std::string Out;
+  if (Crashed)
+    Out = "crash@" + CrashedAt.toString();
+  if (Restarted)
+    Out += (Out.empty() ? "" : "+") + ("restart@" + RestartedAt.toString());
+  return Out;
+}
+
+TEST(SimulatorClockTest, CrashAndRestartInsideAChunk) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), DriftSchedule(),
+                crashWindow(100, 250));
+  Sim.execInstructions(false, 60); // t = 60
+  EXPECT_FALSE(Sim.serverEventPending());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(false, 60); // t = 120: crossed 100 mid-chunk
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_TRUE(Sim.serverDown());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  EXPECT_EQ(takeEvents(Sim), "crash@100");
+  Sim.execInstructions(true, 258); // t = 249, on the server's rate
+  EXPECT_FALSE(Sim.serverEventPending());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(true, 4); // t = 251: crossed 250 mid-chunk
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_FALSE(Sim.serverDown());
+  EXPECT_EQ(takeEvents(Sim), "restart@250");
+  EXPECT_EQ(Sim.now(), Rational(251));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  EXPECT_EQ(Sim.counters().Crashes, 1u);
+  EXPECT_EQ(Sim.counters().Restarts, 1u);
+}
+
+TEST(SimulatorClockTest, CrashAndRestartExactlyAtAChunkEnd) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), DriftSchedule(),
+                crashWindow(100, 200));
+  Sim.execInstructions(false, 40);
+  Sim.execInstructions(false, 59); // t = 99: one unit short
+  EXPECT_FALSE(Sim.serverEventPending());
+  Sim.execInstructions(false, 1); // t = 100: the instant itself
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_EQ(takeEvents(Sim), "crash@100");
+  Sim.execInstructions(true, 199); // t = 199.5
+  EXPECT_FALSE(Sim.serverEventPending());
+  EXPECT_EQ(Sim.now(), Rational::fraction(399, 2));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(true, 1); // t = 200
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_EQ(takeEvents(Sim), "restart@200");
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+}
+
+TEST(SimulatorClockTest, CrashAndRestartThroughMessageCharges) {
+  CostModel Costs = clockCosts();
+  Simulator Sim(Costs, FaultSpec(), RetryPolicy(), DriftSchedule(),
+                crashWindow(100, 120));
+  Sim.execInstructions(false, 95);
+  EXPECT_FALSE(Sim.serverEventPending());
+  EXPECT_TRUE(Sim.trySchedule(true)); // delivered at 95, charged to 103
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_EQ(Sim.now(), Rational(103));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  EXPECT_EQ(takeEvents(Sim), "crash@100");
+  // Down until 120: attempts at 103 (+5, +4) and 112 (+5, +8) are lost,
+  // the backoff wait that ends at 125 crosses the restart, and the
+  // third attempt delivers 16 bytes at 6 + 16.
+  EXPECT_TRUE(Sim.tryTransfer(true, 16));
+  EXPECT_TRUE(Sim.serverEventPending());
+  EXPECT_EQ(Sim.counters().Timeouts, 2u);
+  EXPECT_EQ(Sim.now(), Rational(103 + 5 + 4 + 5 + 8 + 6 + 16));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  EXPECT_EQ(takeEvents(Sim), "restart@120");
+  EXPECT_FALSE(Sim.serverDown());
+}
+
+TEST(SimulatorClockTest, WholeCrashWindowInsideOneChunk) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), DriftSchedule(),
+                crashWindow(10, 20));
+  Sim.execInstructions(false, 5);
+  EXPECT_FALSE(Sim.serverEventPending());
+  Sim.execInstructions(false, 100); // crosses both instants
+  EXPECT_EQ(takeEvents(Sim), "crash@10+restart@20");
+  EXPECT_FALSE(Sim.serverDown());
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+}
+
+DriftSchedule spikeAt(int64_t At, int64_t Scale) {
+  DriftSchedule Drift;
+  DriftPhase P;
+  P.At = Rational(At);
+  P.ServerScale = Rational(Scale);
+  P.CommScale = Rational(2);
+  Drift.Phases.push_back(P);
+  return Drift;
+}
+
+TEST(SimulatorClockTest, PhaseStartInsideAServerChunkChargesTheOldPhase) {
+  CostModel Costs = clockCosts();
+  Simulator Sim(Costs, FaultSpec(), RetryPolicy(), spikeAt(100, 3));
+  Sim.execInstructions(true, 120); // t = 60
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(true, 120); // t = 120: starts before 100, so the
+                                   // whole chunk runs at the old rate
+  EXPECT_EQ(Sim.serverCompute(), Rational(120));
+  EXPECT_EQ(Sim.now(), Rational(120));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(true, 10); // spiked: 10 * 1/2 * 3
+  EXPECT_EQ(Sim.serverCompute(), Rational(135));
+  EXPECT_EQ(Sim.serverCompute(),
+            Costs.Ts * Rational(250) + Costs.Ts * Rational(10) * Rational(2));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.schedule(false); // comm scale 2
+  EXPECT_EQ(Sim.now(), Rational(135 + 16));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+}
+
+TEST(SimulatorClockTest, PhaseStartExactlyAtAChunkEnd) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), spikeAt(100, 3));
+  Sim.execInstructions(false, 40);
+  Sim.execInstructions(true, 120); // t = 100 exactly
+  EXPECT_EQ(Sim.serverCompute(), Rational(60));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(true, 4); // the new phase from its first unit
+  EXPECT_EQ(Sim.serverCompute(), Rational(66));
+  EXPECT_EQ(Sim.now(), Rational(106));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  Sim.execInstructions(false, 4); // the client rate never spikes
+  EXPECT_EQ(Sim.clientCompute(), Rational(44));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+}
+
+TEST(SimulatorClockTest, PhaseStartReachedThroughAMessageCharge) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), spikeAt(100, 3));
+  Sim.execInstructions(false, 95);
+  EXPECT_TRUE(Sim.trySchedule(true)); // old comm rate: 95 + 8 = 103
+  EXPECT_EQ(Sim.now(), Rational(103));
+  Sim.execInstructions(true, 2); // spiked: 2 * 1/2 * 3
+  EXPECT_EQ(Sim.serverCompute(), Rational(3));
+  EXPECT_EQ(Sim.now(), Rational(106));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+  EXPECT_TRUE(Sim.tryTransfer(false, 0)); // new comm rate: 2 * 6
+  EXPECT_EQ(Sim.now(), Rational(118));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
+}
+
+TEST(SimulatorClockTest, PhaseStartCrossedOnTheClientSpikesTheNextServerChunk) {
+  Simulator Sim(clockCosts(), FaultSpec(), RetryPolicy(), spikeAt(100, 3));
+  Sim.execInstructions(true, 20);   // t = 10
+  Sim.execInstructions(false, 150); // t = 160, past the phase start
+  Sim.execInstructions(true, 20);   // spiked: 20 * 1/2 * 3
+  EXPECT_EQ(Sim.serverCompute(), Rational(10 + 30));
+  EXPECT_EQ(Sim.now(), Rational(190));
+  EXPECT_EQ(Sim.now(), Sim.elapsed());
 }
 
 //===----------------------------------------------------------------------===//
