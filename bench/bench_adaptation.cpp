@@ -98,7 +98,6 @@ AdaptationOptions eagerClosedLoop() {
   Adapt.MinSamples = 4;
   Adapt.EvalPeriod = 1;
   Adapt.MinDwellBoundaries = 4;
-  Adapt.ConfirmEvals = 2;
   Adapt.MaxRedispatches = 4;
   return Adapt;
 }

@@ -13,7 +13,7 @@
 // run retries with backoff and degrades gracefully to local execution.
 //
 //   offload_explorer program.mc [--params v1,v2,...] [--inputs v1,v2,...]
-//       [--run] [--jobs N] [--no-opt] [--dump-ir[=before|after]]
+//       [--run] [--jobs N] [--no-opt] [--dump-ir]
 //       [--dump-source]
 //       [--fault-seed N] [--drop-rate P] [--jitter U]
 //       [--disconnect-at MSG[:LEN]] [--policy fail-fast|retry-only|degrade]
@@ -306,7 +306,7 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
     std::fprintf(stderr,
                  "usage: %s program.mc [--params v1,v2,...] "
                  "[--inputs v1,v2,...] [--run] [--jobs N] [--no-opt] "
-                 "[--dump-ir[=before|after]] [--dump-source]\n"
+                 "[--dump-ir] [--dump-source]\n"
                  "  fault injection: [--fault-seed N] [--drop-rate P] "
                  "[--jitter U] [--disconnect-at MSG[:LEN]]\n"
                  "                   [--policy fail-fast|retry-only|degrade]\n"
@@ -345,7 +345,6 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   }
 
   bool DumpIR = false;
-  bool DumpIRBefore = false;
   bool DumpSource = false;
   bool Run = false;
   bool Report = false;
@@ -415,11 +414,8 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
         V = Argv[++A];
       return V != nullptr;
     };
-    if (std::strcmp(Arg, "--dump-ir") == 0 ||
-        std::strcmp(Arg, "--dump-ir=after") == 0) {
+    if (std::strcmp(Arg, "--dump-ir") == 0) {
       DumpIR = true;
-    } else if (std::strcmp(Arg, "--dump-ir=before") == 0) {
-      DumpIRBefore = true;
     } else if (std::strcmp(Arg, "--no-opt") == 0) {
       PassOpts.Enabled = false;
     } else if (std::strcmp(Arg, "--dump-source") == 0) {
@@ -546,18 +542,6 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
                          "degrade/rollback path; use --policy degrade)\n");
     return 2;
   }
-#ifdef PACO_DISABLE_OBS
-  if (!Obs.LogPath.empty() || !Obs.MetricsPath.empty() ||
-      !Obs.TimeseriesPath.empty()) {
-    std::fprintf(stderr, "error: this build disabled observability "
-                         "(PACO_DISABLE_OBS); --log/--metrics/--timeseries "
-                         "are unavailable\n");
-    Obs.LogPath.clear();
-    Obs.MetricsPath.clear();
-    Obs.TimeseriesPath.clear();
-    return 2;
-  }
-#endif
   // Fail output paths now, before minutes of analysis, not after.
   if (!TracePath.empty() && !checkWritable(TracePath, "trace")) {
     TracePath.clear();
@@ -612,28 +596,6 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   if (DumpSource)
     std::printf("// program after inlining (%u sites)\n%s\n",
                 CP->InlinedSites, printProgram(*CP->AST).c_str());
-  if (DumpIRBefore) {
-    // Replay the front end (parse, inline, sema, symbolics, lower) into a
-    // scratch space so the pre-optimization IR can be shown even though
-    // the compiled program only keeps the optimized module.
-    DiagEngine RawDiags;
-    ParamSpace RawSpace;
-    auto RawAST = parseMiniC(Source, RawDiags);
-    if (RawAST)
-      inlineSmallFunctions(*RawAST, InlineOptions());
-    if (!RawAST || !runSema(*RawAST, RawDiags)) {
-      std::fprintf(stderr, "%s", RawDiags.dump().c_str());
-      return 1;
-    }
-    SymbolicInfo RawInfo = analyzeSymbolics(*RawAST, RawSpace, RawDiags);
-    LowerResult Raw = lowerProgram(*RawAST, RawInfo, RawSpace, RawDiags);
-    if (!Raw) {
-      std::fprintf(stderr, "%s", Raw.error().toString().c_str());
-      return 1;
-    }
-    std::printf("// IR before optimization\n%s\n",
-                (*Raw)->dump(RawSpace).c_str());
-  }
   if (DumpIR)
     std::printf("// IR after optimization%s\n%s\n",
                 PassOpts.Enabled ? "" : " (--no-opt: pipeline disabled)",

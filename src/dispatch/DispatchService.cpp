@@ -33,7 +33,6 @@ obs::Counter &BatchesC =
 /// shard a dense ns-per-query distribution.
 constexpr size_t TimeChunk = 64;
 
-#ifndef PACO_DISABLE_OBS
 std::string secondsSince(std::chrono::steady_clock::time_point Epoch,
                          std::chrono::steady_clock::time_point Now) {
   double S = std::chrono::duration<double>(Now - Epoch).count();
@@ -41,7 +40,6 @@ std::string secondsSince(std::chrono::steady_clock::time_point Epoch,
   std::snprintf(Buf, sizeof(Buf), "%.6f", S);
   return Buf;
 }
-#endif // PACO_DISABLE_OBS
 
 } // namespace
 
@@ -61,7 +59,7 @@ void DispatchService::dispatchBatch(const int64_t *Values, size_t NumRequests,
   assert(NumParams == Idx.numRuntimeParams() &&
          "one value per declared parameter");
   Stats Before = totals();
-  [[maybe_unused]] auto BatchStart = std::chrono::steady_clock::now();
+  auto BatchStart = std::chrono::steady_clock::now();
   size_t NumShards = Shards.size();
   size_t Chunk = (NumRequests + NumShards - 1) / NumShards;
   Pool.parallelFor(NumShards, [&](size_t Shard) {
@@ -87,7 +85,7 @@ void DispatchService::dispatchBatch(const int64_t *Values, size_t NumRequests,
     }
   });
   auto BatchEnd = std::chrono::steady_clock::now();
-  [[maybe_unused]] uint64_t BatchIndex = Batches++;
+  uint64_t BatchIndex = Batches++;
   Stats After = totals();
   uint64_t DQueries = After.Queries - Before.Queries;
   QueriesC.add(DQueries);
@@ -100,7 +98,6 @@ void DispatchService::dispatchBatch(const int64_t *Values, size_t NumRequests,
 
   if (!TelemetrySeries && !TelemetryEvents)
     return;
-#ifndef PACO_DISABLE_OBS
   double BatchSeconds =
       std::chrono::duration<double>(BatchEnd - BatchStart).count();
   if (TelemetrySeries) {
@@ -141,9 +138,6 @@ void DispatchService::dispatchBatch(const int64_t *Values, size_t NumRequests,
           .field("p99_ns", BatchLatency[S].percentile(99));
     }
   }
-#else
-  (void)BatchEnd;
-#endif // PACO_DISABLE_OBS
 }
 
 std::vector<unsigned> DispatchService::dispatchBatch(

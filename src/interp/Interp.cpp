@@ -11,8 +11,6 @@
 #include "partition/Reprice.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <set>
 
@@ -97,6 +95,10 @@ struct Frame {
 /// re-dispatch or probe-driven re-offload): the challenger's repriced
 /// cost must be at most (1 - kSwitchMargin) times the incumbent's.
 const Rational kSwitchMargin = Rational::fraction(1, 8);
+
+/// Consecutive drift evaluations that must agree on the same challenger
+/// before the run re-dispatches to it.
+constexpr unsigned kConfirmEvals = 2;
 
 /// FailFast means "no retries": the first lost attempt is terminal.
 RetryPolicy effectiveRetry(const ExecOptions &Opts) {
@@ -416,6 +418,17 @@ private:
     Ckpt.OutputCount = Result.Outputs.size();
   }
 
+  /// Pins the run to the client for good. Nothing reads the online
+  /// profiler from here on (drift evaluation runs only while the run is
+  /// not degraded, probing only in LocalFallback), so it is dropped, and
+  /// its open segment, if any, closes unobserved.
+  void degradeForGood() {
+    Degraded = true;
+    LocalFallback = false;
+    Prof.reset();
+    ProfSegOpen = false;
+  }
+
   /// Restores the last checkpoint and resumes on the client -- either as
   /// a permanent degrade (the PR-1 behavior) or, under ClosedLoop with
   /// probe budget left, as a temporary LocalFallback the recovery probes
@@ -504,8 +517,7 @@ private:
       LastFallbackTask = CurrentTask;
       FallbackBoundaries = 0;
     } else {
-      Degraded = true;
-      LocalFallback = false;
+      degradeForGood();
     }
     ++Counts.Fallbacks;
     if (obs::Tracer::global().enabled())
@@ -552,24 +564,8 @@ private:
     // checkpoint's server copies must be invalidated first, so the shadow
     // merge cannot "recover" data from a dead process -- only the
     // ledger can.
-    if (CrashArmed && Sim.serverEventPending()) {
-      bool Crashed = false, Restarted = false;
-      Rational CrashedAt, RestartedAt;
-      Sim.takeServerEvents(Crashed, CrashedAt, Restarted, RestartedAt);
-      if (Crashed)
-        onServerCrash(CrashedAt); // Re-requests the same rollback.
-      if (Restarted) {
-        if (Rec) {
-          RecoveryMark M;
-          M.K = RecoveryMark::Kind::Restart;
-          M.At = RestartedAt;
-          M.AtTask = CurrentTask;
-          Rec->recovery(std::move(M));
-        }
-        if (Ev)
-          event(obs::LogLevel::Info, "server-restart", RestartedAt);
-      }
-    }
+    if (CrashArmed && Sim.serverEventPending())
+      handleServerEvents(); // A crash re-requests the same rollback.
     WantRollback = false;
     if (Failed)
       return false;
@@ -623,6 +619,28 @@ private:
     ++Counts.CrashRecoveries;
     WantRollback = true;
     return false;
+  }
+
+  /// Takes the crash and restart events the simulated clock crossed:
+  /// handles the crash, then records the restart. Returns false when the
+  /// crash needs a rollback (WantRollback set) or failed the run.
+  bool handleServerEvents() {
+    bool Crashed = false, Restarted = false;
+    Rational CrashedAt, RestartedAt;
+    Sim.takeServerEvents(Crashed, CrashedAt, Restarted, RestartedAt);
+    bool CrashHandled = !Crashed || onServerCrash(CrashedAt);
+    if (Restarted) {
+      if (Rec) {
+        RecoveryMark M;
+        M.K = RecoveryMark::Kind::Restart;
+        M.At = RestartedAt;
+        M.AtTask = CurrentTask;
+        Rec->recovery(std::move(M));
+      }
+      if (Ev)
+        event(obs::LogLevel::Info, "server-restart", RestartedAt);
+    }
+    return CrashHandled;
   }
 
   /// One pinned client-held copy of a server-authoritative data item.
@@ -759,8 +777,7 @@ private:
 
   /// Spends the probe budget: the fallback becomes a permanent degrade.
   void exhaustProbes() {
-    Degraded = true;
-    LocalFallback = false;
+    degradeForGood();
     ++Counts.ProbeExhaustions;
     if (obs::Tracer::global().enabled())
       obs::Tracer::global().instantEvent(
@@ -1071,14 +1088,7 @@ bool Machine::crossTask(unsigned NewTask) {
            {"to_task", CP.Graph.Tasks[NewTask].Label},
            {"dir", NewServer ? "c2s" : "s2c"}});
   }
-  static const bool Trace = std::getenv("PACO_TRACE_TRANSFERS") != nullptr;
   for (const Movement &Move : transferSet(OldTask, NewTask)) {
-    if (Trace)
-      std::fprintf(stderr, "[transfer] %s -> %s : %s %s\n",
-                   CP.Graph.Tasks[OldTask].Label.c_str(),
-                   CP.Graph.Tasks[NewTask].Label.c_str(),
-                   CP.Memory->loc(Move.LocId).Name.c_str(),
-                   Move.ToServer ? "c2s" : "s2c");
     uint64_t Bytes = 0;
     unsigned ElemBytes = elementBytes(CP.Memory->loc(Move.LocId).ElemType);
     const std::vector<unsigned> &Live = LiveOfLoc[Move.LocId];
@@ -1157,7 +1167,7 @@ bool Machine::maybeAdapt() {
   }
 
   // Hysteresis: the challenger must beat the incumbent by the margin,
-  // keep winning for ConfirmEvals consecutive evaluations, and the run
+  // keep winning for kConfirmEvals consecutive evaluations, and the run
   // must have dwelt on the incumbent long enough.
   static const Rational One(1);
   if (Best == Choice ||
@@ -1173,7 +1183,7 @@ bool Machine::maybeAdapt() {
   } else {
     ++PendingStreak;
   }
-  if (PendingStreak < Opts.Adapt.ConfirmEvals ||
+  if (PendingStreak < kConfirmEvals ||
       BoundariesSinceSwitch < Opts.Adapt.MinDwellBoundaries)
     return true;
   return redispatch(Best, std::move(Stay), std::move(BestCost));
@@ -1731,25 +1741,9 @@ ExecResult Machine::run() {
     // Server lifecycle events fire strictly at the instruction/message
     // grain the simulated clock advances by; handle them at the loop
     // top, where no instruction is mid-flight.
-    if (CrashArmed && Sim.serverEventPending()) {
-      bool Crashed = false, Restarted = false;
-      Rational CrashedAt, RestartedAt;
-      Sim.takeServerEvents(Crashed, CrashedAt, Restarted, RestartedAt);
-      bool CrashHandled = !Crashed || onServerCrash(CrashedAt);
-      if (Restarted) {
-        if (Rec) {
-          RecoveryMark M;
-          M.K = RecoveryMark::Kind::Restart;
-          M.At = RestartedAt;
-          M.AtTask = CurrentTask;
-          Rec->recovery(std::move(M));
-        }
-        if (Ev)
-          event(obs::LogLevel::Info, "server-restart", RestartedAt);
-      }
-      if (!CrashHandled && !rollback())
-        break;
-    }
+    if (CrashArmed && Sim.serverEventPending() && !handleServerEvents() &&
+        !rollback())
+      break;
     if (CheckpointsOn && LocalFallback) {
       // Probing fallback: no checkpoints (the client-only run cannot
       // fail recoverably), but each fresh task boundary may probe.

@@ -57,8 +57,6 @@ struct AdaptationOptions {
   unsigned EvalPeriod = 4;
   /// Task boundaries to dwell on a choice before switching again.
   unsigned MinDwellBoundaries = 16;
-  /// Consecutive evaluations that must agree on the same challenger.
-  unsigned ConfirmEvals = 2;
   /// Hard cap on re-dispatches per run (thrash guard).
   unsigned MaxRedispatches = 8;
 

@@ -14,6 +14,9 @@ using namespace paco::passes;
 
 namespace {
 
+/// Upper bound on instruction-pass fixpoint rounds.
+constexpr unsigned kMaxFixpointIterations = 16;
+
 unsigned countInstrs(const IRModule &M) {
   unsigned N = 0;
   for (const auto &F : M.Functions)
@@ -87,7 +90,7 @@ std::optional<PassStats> paco::runPassPipeline(IRModule &M, ParamSpace &Space,
   };
 
   bool Changed = true;
-  while (Changed && Stats.FixpointIterations < Options.MaxFixpointIterations) {
+  while (Changed && Stats.FixpointIterations < kMaxFixpointIterations) {
     Changed = false;
     ++Stats.FixpointIterations;
     for (const Stage &S : Stages) {

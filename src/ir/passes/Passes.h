@@ -56,8 +56,6 @@ struct PassOptions {
   /// Re-verify the module after every individual pass, failing the
   /// pipeline on the first broken invariant.
   bool VerifyEachPass = false;
-  /// Upper bound on instruction-pass fixpoint rounds.
-  unsigned MaxFixpointIterations = 16;
   /// Run the cost-expression simplification (monomial merge) stage.
   bool CostSimplify = true;
 };

@@ -155,6 +155,9 @@ StmtPtr paco::cloneStmt(const Stmt &S) {
 
 namespace {
 
+/// Hard cap on inlined call sites (guards pathological growth).
+constexpr unsigned kMaxSites = 256;
+
 /// Structural facts about a callee body.
 struct BodyFacts {
   unsigned NodeCount = 0;
@@ -506,7 +509,7 @@ std::vector<StmtPtr> InlinerPass::expandCall(const CallExpr &Call,
 }
 
 bool InlinerPass::expandSite(Stmt &S, std::vector<StmtPtr> &Out) {
-  if (InlinedSites >= Options.MaxSites)
+  if (InlinedSites >= kMaxSites)
     return false;
 
   // Identifies an inlinable direct call and checks name hygiene: a free
@@ -667,7 +670,7 @@ unsigned InlinerPass::run() {
     analyzeCallees();
     for (const auto &Func : Prog.Functions)
       processFunction(*Func);
-  } while (InlinedSites != Before && InlinedSites < Options.MaxSites);
+  } while (InlinedSites != Before && InlinedSites < kMaxSites);
   return InlinedSites;
 }
 

@@ -38,8 +38,6 @@ struct InlineOptions {
   bool Enabled = true;
   /// Maximum AST node count of an inlinable callee body.
   unsigned MaxNodes = 48;
-  /// Hard cap on inlined call sites (guards pathological growth).
-  unsigned MaxSites = 256;
 };
 
 /// Runs the pass in place. \returns the number of call sites inlined.

@@ -6,6 +6,8 @@
 
 #include "obs/CostAudit.h"
 
+#include "obs/JSONText.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <tuple>
@@ -48,30 +50,11 @@ std::string jsonNum(double V) {
   return Buf;
 }
 
-void appendEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':  Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 std::string entryJSON(const AuditEntry &E, bool WithWhat) {
   std::string Out = "{";
   if (WithWhat) {
     Out += "\"what\": \"";
-    appendEscaped(Out, E.What);
+    appendJSONEscaped(Out, E.What);
     Out += "\", ";
   }
   Out += "\"predicted\": " + jsonNum(E.Predicted.toDouble()) +
@@ -120,7 +103,7 @@ std::string CostAuditReport::toJSON() const {
   std::string Out = "{\n";
   Out += "  \"valid\": " + std::string(Valid ? "true" : "false") + ",\n";
   Out += "  \"note\": \"";
-  appendEscaped(Out, Note);
+  appendJSONEscaped(Out, Note);
   Out += "\",\n";
   Out += "  \"choice\": " +
          (Choice == KNone ? std::string("null") : std::to_string(Choice)) +

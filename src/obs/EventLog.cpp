@@ -6,7 +6,7 @@
 
 #include "obs/EventLog.h"
 
-#include <cstdio>
+#include "obs/JSONText.h"
 
 using namespace paco;
 using namespace paco::obs;
@@ -25,41 +25,11 @@ const char *paco::obs::logLevelName(LogLevel L) {
   return "info";
 }
 
-#ifndef PACO_DISABLE_OBS
-
 namespace {
-
-void appendEscaped(std::string &Out, const char *Text, size_t Size) {
-  for (size_t I = 0; I != Size; ++I) {
-    char C = Text[I];
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 void appendKey(std::string &Out, const char *Key) {
   Out += ", \"";
-  appendEscaped(Out, Key, std::char_traits<char>::length(Key));
+  appendJSONEscaped(Out, Key);
   Out += "\": ";
 }
 
@@ -71,7 +41,7 @@ EventLog::EventBuilder &EventLog::EventBuilder::field(const char *Key,
     return *this;
   appendKey(Line, Key);
   Line += "\"";
-  appendEscaped(Line, V.data(), V.size());
+  appendJSONEscaped(Line, V);
   Line += "\"";
   return *this;
 }
@@ -82,7 +52,7 @@ EventLog::EventBuilder &EventLog::EventBuilder::field(const char *Key,
     return *this;
   appendKey(Line, Key);
   Line += "\"";
-  appendEscaped(Line, V, std::char_traits<char>::length(V));
+  appendJSONEscaped(Line, V);
   Line += "\"";
   return *this;
 }
@@ -110,9 +80,7 @@ EventLog::EventBuilder &EventLog::EventBuilder::field(const char *Key,
   if (!Log)
     return *this;
   appendKey(Line, Key);
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  Line += Buf;
+  appendJSONNumber(Line, V);
   return *this;
 }
 
@@ -132,11 +100,11 @@ EventLog::EventBuilder EventLog::event(LogLevel L, const char *Type) {
   // numbered densely even when a builder for a dropped level was created
   // in between); the placeholder keeps field order stable.
   std::string Line = "{\"run\": \"";
-  appendEscaped(Line, RunId.data(), RunId.size());
+  appendJSONEscaped(Line, RunId);
   Line += "\", \"seq\": @, \"level\": \"";
   Line += logLevelName(L);
   Line += "\", \"type\": \"";
-  appendEscaped(Line, Type, std::char_traits<char>::length(Type));
+  appendJSONEscaped(Line, Type);
   Line += "\"";
   return EventBuilder(this, std::move(Line));
 }
@@ -161,5 +129,3 @@ std::string EventLog::toJSONL() const {
   }
   return Out;
 }
-
-#endif // PACO_DISABLE_OBS

@@ -14,8 +14,7 @@
 ///
 /// The log is single-writer: events are appended from the thread driving
 /// the run (the interpreter main loop, or the dispatch batch caller after
-/// its worker join). Under -DPACO_DISABLE_OBS the whole class compiles to
-/// a zero-size no-op.
+/// its worker join).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +34,6 @@ namespace obs {
 enum class LogLevel : unsigned { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
 const char *logLevelName(LogLevel L);
-
-#ifndef PACO_DISABLE_OBS
 
 /// The log. Collects committed lines in memory; render with toJSONL().
 class EventLog {
@@ -115,37 +112,6 @@ private:
   uint64_t Seq = 0;
   std::vector<std::string> Lines;
 };
-
-#else // PACO_DISABLE_OBS
-
-/// No-op stand-in: every method compiles away; emission sites still
-/// type-check but evaluate to nothing.
-class EventLog {
-public:
-  explicit EventLog(const std::string & = "", LogLevel = LogLevel::Debug) {}
-
-  const std::string &runId() const {
-    static const std::string Empty;
-    return Empty;
-  }
-  void setMinLevel(LogLevel) {}
-  LogLevel minLevel() const { return LogLevel::Error; }
-
-  class EventBuilder {
-  public:
-    template <typename T> EventBuilder &field(const char *, T &&) {
-      return *this;
-    }
-  };
-
-  EventBuilder event(LogLevel, const char *) { return EventBuilder(); }
-  size_t size() const { return 0; }
-  std::vector<std::string> lines() const { return {}; }
-  std::string toJSONL() const { return ""; }
-  void clear() {}
-};
-
-#endif // PACO_DISABLE_OBS
 
 } // namespace obs
 } // namespace paco

@@ -173,8 +173,6 @@ std::string paco::obs::toPrometheusText(const StatsSnapshot &Snap,
   return Exp.render();
 }
 
-#ifndef PACO_DISABLE_OBS
-
 std::string paco::obs::windowPrometheusText(const TimeSeries &Series,
                                             const PrometheusOptions &Opts) {
   if (Series.size() == 0)
@@ -198,15 +196,6 @@ std::string paco::obs::windowPrometheusText(const TimeSeries &Series,
   }
   return Exp.render();
 }
-
-#else // PACO_DISABLE_OBS
-
-std::string paco::obs::windowPrometheusText(const TimeSeries &,
-                                            const PrometheusOptions &) {
-  return "";
-}
-
-#endif // PACO_DISABLE_OBS
 
 bool paco::obs::writeTextFile(const std::string &Path, const std::string &Text,
                               std::string *Err) {

@@ -6,6 +6,8 @@
 
 #include "obs/Stats.h"
 
+#include "obs/JSONText.h"
+
 #include <cstdio>
 
 using namespace paco;
@@ -133,37 +135,6 @@ void StatsRegistry::reset() {
   }
 }
 
-namespace {
-
-void appendEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':  Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
-/// Renders a double as a bare JSON number (no inf/nan, which percentile
-/// values cannot produce from finite buckets anyway).
-std::string jsonNumber(double V) {
-  char Buf[40];
-  std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-  return Buf;
-}
-
-} // namespace
-
 std::string HistogramSnapshot::toJSON() const {
   const HistogramSnapshot &H = *this;
   // Sequential appends rather than one chained operator+ expression:
@@ -174,11 +145,11 @@ std::string HistogramSnapshot::toJSON() const {
   Out += ", \"sum\": ";
   Out += std::to_string(H.Sum);
   Out += ", \"p50\": ";
-  Out += jsonNumber(H.percentile(50));
+  appendJSONNumber(Out, H.percentile(50));
   Out += ", \"p95\": ";
-  Out += jsonNumber(H.percentile(95));
+  appendJSONNumber(Out, H.percentile(95));
   Out += ", \"p99\": ";
-  Out += jsonNumber(H.percentile(99));
+  appendJSONNumber(Out, H.percentile(99));
   Out += ", \"buckets\": [";
   bool First = true;
   for (unsigned B = 0; B != Histogram::NumBuckets; ++B) {
@@ -209,7 +180,7 @@ std::string StatsSnapshot::toJSON(const std::string &Indent) const {
   std::string Out = "{\n";
   auto key = [&](const std::string &Name) {
     std::string K = Indent + "    \"";
-    appendEscaped(K, Name);
+    appendJSONEscaped(K, Name);
     K += "\": ";
     return K;
   };

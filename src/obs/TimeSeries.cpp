@@ -6,45 +6,16 @@
 
 #include "obs/TimeSeries.h"
 
-#include <cstdio>
+#include "obs/JSONText.h"
 
 using namespace paco;
 using namespace paco::obs;
 
-#ifndef PACO_DISABLE_OBS
-
 namespace {
-
-void appendEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 void appendQuoted(std::string &Out, const std::string &Text) {
   Out += "\"";
-  appendEscaped(Out, Text);
+  appendJSONEscaped(Out, Text);
   Out += "\"";
 }
 
@@ -70,15 +41,13 @@ std::string TimeWindow::toJSON() const {
   }
   Out += "}, \"values\": {";
   First = true;
-  char Buf[40];
   for (const auto &[Name, V] : Values) {
     if (!First)
       Out += ", ";
     First = false;
     appendQuoted(Out, Name);
     Out += ": ";
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V);
-    Out += Buf;
+    appendJSONNumber(Out, V);
   }
   Out += "}, \"histograms\": {";
   First = true;
@@ -142,5 +111,3 @@ void paco::obs::fillWindowDeltas(const StatsSnapshot &Before,
     W.histogram(Name, std::move(Delta));
   }
 }
-
-#endif // PACO_DISABLE_OBS

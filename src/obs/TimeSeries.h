@@ -18,8 +18,7 @@
 ///    thread counts.
 ///
 /// Window fields keep their emission order, so toJSONL() output is
-/// stable. Under -DPACO_DISABLE_OBS everything compiles to zero-size
-/// no-ops.
+/// stable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +34,6 @@
 
 namespace paco {
 namespace obs {
-
-#ifndef PACO_DISABLE_OBS
 
 /// One window of telemetry. Start/End are pre-rendered timestamps in the
 /// driving clock's unit (seconds for wall windows, cost units for sim
@@ -113,40 +110,6 @@ private:
 /// skipped.
 void fillWindowDeltas(const StatsSnapshot &Before, const StatsSnapshot &After,
                       const std::string &Prefix, TimeWindow &W);
-
-#else // PACO_DISABLE_OBS
-
-struct TimeWindow {
-  void counter(const std::string &, uint64_t) {}
-  void value(const std::string &, double) {}
-  void histogram(const std::string &, const HistogramSnapshot &) {}
-  std::string toJSON() const { return "{}"; }
-};
-
-class TimeSeries {
-public:
-  TimeSeries(const std::string &, size_t) {}
-  std::string name() const { return ""; }
-  size_t capacity() const { return 0; }
-  size_t size() const { return 0; }
-  uint64_t totalWindows() const { return 0; }
-  void push(const TimeWindow &) {}
-  const TimeWindow &window(size_t) const { return dummy(); }
-  const TimeWindow &latest() const { return dummy(); }
-  std::string toJSONL() const { return ""; }
-  void clear() {}
-
-private:
-  static const TimeWindow &dummy() {
-    static const TimeWindow W;
-    return W;
-  }
-};
-
-inline void fillWindowDeltas(const StatsSnapshot &, const StatsSnapshot &,
-                             const std::string &, TimeWindow &) {}
-
-#endif // PACO_DISABLE_OBS
 
 } // namespace obs
 } // namespace paco

@@ -6,6 +6,8 @@
 
 #include "obs/Trace.h"
 
+#include "obs/JSONText.h"
+
 #include <algorithm>
 #include <cstdio>
 
@@ -108,25 +110,6 @@ size_t Tracer::eventCount() const {
 
 namespace {
 
-void appendEscaped(std::string &Out, const std::string &Text) {
-  for (char C : Text) {
-    switch (C) {
-    case '"':  Out += "\\\""; break;
-    case '\\': Out += "\\\\"; break;
-    case '\n': Out += "\\n"; break;
-    case '\t': Out += "\\t"; break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
-
 /// True if \p Value can be emitted as a bare JSON number.
 bool isJSONNumber(const std::string &Value) {
   if (Value.empty())
@@ -153,9 +136,9 @@ std::string Tracer::toJSON() const {
   for (size_t I = 0; I != Events.size(); ++I) {
     const Event &E = Events[I];
     Out += "  {\"name\": \"";
-    appendEscaped(Out, E.Name);
+    appendJSONEscaped(Out, E.Name);
     Out += "\", \"cat\": \"";
-    appendEscaped(Out, E.Category);
+    appendJSONEscaped(Out, E.Category);
     if (E.Phase == 'X')
       std::snprintf(Buf, sizeof(Buf),
                     "\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
@@ -177,13 +160,13 @@ std::string Tracer::toJSON() const {
         if (A)
           Out += ", ";
         Out += "\"";
-        appendEscaped(Out, E.Args[A].Key);
+        appendJSONEscaped(Out, E.Args[A].Key);
         Out += "\": ";
         if (E.Args[A].NumberLike && isJSONNumber(E.Args[A].Value)) {
           Out += E.Args[A].Value;
         } else {
           Out += "\"";
-          appendEscaped(Out, E.Args[A].Value);
+          appendJSONEscaped(Out, E.Args[A].Value);
           Out += "\"";
         }
       }

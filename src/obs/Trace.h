@@ -9,8 +9,7 @@
 /// instant events, exported in the Chrome trace-event JSON format that
 /// chrome://tracing and Perfetto load directly. Tracing is off by default;
 /// a disabled tracer costs one relaxed atomic load per would-be event, so
-/// instrumentation can stay unconditionally compiled in (build with
-/// -DPACO_DISABLE_OBS to compile the span helpers out entirely).
+/// instrumentation stays unconditionally compiled in.
 ///
 /// Spans double as registry timers: every completed ScopedSpan adds its
 /// duration to the StatsRegistry timer of the same name, whether or not
@@ -122,8 +121,6 @@ private:
   std::vector<std::thread::id> TidTable;
 };
 
-#ifndef PACO_DISABLE_OBS
-
 /// RAII span: times a scope, feeds the duration into the registry timer
 /// named \p Name, and (when tracing is enabled) records a complete trace
 /// event. Arguments added via arg() are attached to the trace event only.
@@ -162,16 +159,6 @@ private:
   double StartUs = -1; ///< >= 0 iff tracing was enabled at entry.
   std::vector<TraceArg> Args;
 };
-
-#else // PACO_DISABLE_OBS
-
-class ScopedSpan {
-public:
-  ScopedSpan(const char *, const char *) {}
-  template <typename T> void arg(const char *, T &&) {}
-};
-
-#endif // PACO_DISABLE_OBS
 
 } // namespace obs
 } // namespace paco

@@ -14,8 +14,6 @@
 
 using namespace paco;
 
-#ifndef PACO_DISABLE_OBS
-
 namespace {
 
 /// Accumulator for one window before rendering.
@@ -121,12 +119,3 @@ obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &Rec,
   }
   return Series;
 }
-
-#else // PACO_DISABLE_OBS
-
-obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &,
-                                      const SimWindowOptions &Opts) {
-  return obs::TimeSeries("sim", Opts.Capacity);
-}
-
-#endif // PACO_DISABLE_OBS

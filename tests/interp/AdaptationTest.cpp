@@ -17,6 +17,7 @@
 
 #include "interp/Interp.h"
 #include "obs/CostAudit.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -118,7 +119,6 @@ AdaptationOptions eagerClosedLoop() {
   Adapt.MinSamples = 4;
   Adapt.EvalPeriod = 1;
   Adapt.MinDwellBoundaries = 4;
-  Adapt.ConfirmEvals = 2;
   Adapt.MaxRedispatches = 4;
   return Adapt;
 }
@@ -295,6 +295,92 @@ TEST(AdaptationTest, ClosedLoopKeepsTheDegradeBackstopArmed) {
   ExecResult Local = runProgram(*CP, baseOpts(ExecOptions::Placement::AllClient));
   ASSERT_TRUE(Local.OK);
   EXPECT_EQ(Loop.Outputs, Local.Outputs);
+}
+
+// ci_pipeline.mc, the program of CI's closed-loop explorer run: the same
+// frame pipeline with a shorter loop bound and word-sized buffers.
+const char *kCIPipeline = R"MINIC(
+param int x in [1, 64];
+param int y in [1, 256];
+param int z in [1, 4096];
+
+int *inbuf;
+int *outbuf;
+
+void encode_frame() {
+  for (int i = 0; i < y; i++) {
+    int acc = inbuf[i];
+    @trip(z) for (int k = 0; k < 100000000; k++) {
+      if (k >= z) break;
+      acc = (acc * 3 + 1) & 65535;
+    }
+    outbuf[i] = acc;
+  }
+}
+
+void main() {
+  inbuf = malloc(y * 4);
+  outbuf = malloc(y * 4);
+  for (int f = 0; f < x; f++) {
+    for (int i = 0; i < y; i++) inbuf[i] = io_read();
+    encode_frame();
+    for (int i = 0; i < y; i++) io_write(outbuf[i]);
+  }
+}
+)MINIC";
+
+TEST(AdaptationTest, ExplorerDriftRunTracesAndAuditsTheRedispatch) {
+  // `offload_explorer ci_pipeline.mc --params 16,32,1000 --run
+  // --adapt=closed-loop --drift="at=200000,comm=64" --trace=...
+  // --audit=...`: the explorer runs the library's closed-loop defaults on
+  // empty input.
+  std::string Diags;
+  std::shared_ptr<CompiledProgram> CP = compileForOffloading(
+      kCIPipeline, CostModel::defaults(), {}, &Diags);
+  ASSERT_TRUE(CP != nullptr) << Diags;
+  ExecOptions LocalOpts;
+  LocalOpts.Mode = ExecOptions::Placement::AllClient;
+  LocalOpts.ParamValues = kParams;
+  ExecResult Local = runProgram(*CP, LocalOpts);
+  ASSERT_TRUE(Local.OK) << Local.Error;
+
+  RuntimeRecorder Recorder;
+  ExecOptions Opts;
+  Opts.Mode = ExecOptions::Placement::Dispatch;
+  Opts.ParamValues = kParams;
+  Opts.Adapt.Policy = AdaptationPolicy::ClosedLoop;
+  std::string Err;
+  ASSERT_TRUE(DriftSchedule::parse("at=200000,comm=64", Opts.Drift, Err))
+      << Err;
+  Opts.Recorder = &Recorder;
+  ExecResult R = runProgram(*CP, Opts);
+  ASSERT_TRUE(R.OK) << R.Error;
+  EXPECT_EQ(R.Outputs, Local.Outputs);
+
+  obs::Tracer Trace;
+  Trace.enable();
+  std::vector<std::string> TaskLabels, DataLabels;
+  for (const TCFG::Task &Task : CP->Graph.Tasks)
+    TaskLabels.push_back(Task.Label);
+  for (unsigned D = 0; D != CP->Memory->numLocs(); ++D)
+    DataLabels.push_back(CP->Memory->loc(D).Name);
+  Recorder.emitChromeLanes(Trace, TaskLabels, DataLabels);
+  std::string JSON = Trace.toJSON();
+  size_t At = JSON.find("{\"name\": \"redispatch\"");
+  ASSERT_NE(At, std::string::npos) << "no redispatch event in the Chrome trace";
+  std::string Event = JSON.substr(At, JSON.find('\n', At) - At);
+  for (const char *Key :
+       {"at_task", "from", "to", "predicted_stay", "predicted_switch"})
+    EXPECT_NE(Event.find(std::string("\"") + Key + "\": "), std::string::npos)
+        << "redispatch event lacks " << Key << ": " << Event;
+
+  obs::CostAuditReport Audit = obs::auditRun(*CP, R, kParams, &Recorder);
+  EXPECT_TRUE(Audit.Valid) << Audit.Note;
+  ASSERT_FALSE(Audit.Counters.Redispatches.empty())
+      << "audit recorded no re-dispatch";
+  const AdaptMark &First = Audit.Counters.Redispatches[0];
+  EXPECT_LT(First.PredictedSwitch, First.PredictedStay)
+      << "the switch was not predicted to pay off";
 }
 
 } // namespace

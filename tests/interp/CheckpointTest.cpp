@@ -242,9 +242,6 @@ std::map<uint64_t, uint64_t> evictedStates(const obs::EventLog &Log) {
 }
 
 TEST(CheckpointTest, RegionIdsRestartFromTheCheckpointAfterARollback) {
-#ifdef PACO_DISABLE_OBS
-  GTEST_SKIP() << "region ids are only visible in the event log";
-#endif
   auto CP = compileOk(kFrameStates);
   ASSERT_TRUE(CP != nullptr);
   std::vector<int64_t> Inputs(6 * 3 * 32);

@@ -103,7 +103,6 @@ AdaptationOptions probingClosedLoop() {
   Adapt.MinSamples = 4;
   Adapt.EvalPeriod = 1;
   Adapt.MinDwellBoundaries = 4;
-  Adapt.ConfirmEvals = 2;
   Adapt.MaxRedispatches = 4;
   Adapt.ProbePeriodBoundaries = 1;
   Adapt.ProbeBytes = 64;

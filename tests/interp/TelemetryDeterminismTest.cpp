@@ -91,7 +91,6 @@ ExecOptions scenarioOpts(RuntimeRecorder *Rec, obs::EventLog *Ev) {
   Opts.Adapt.EvalPeriod = 1;
   Opts.Adapt.MinSamples = 4;
   Opts.Adapt.MinDwellBoundaries = 4;
-  Opts.Adapt.ConfirmEvals = 2;
   Opts.Adapt.ProbePeriodBoundaries = 1;
   Opts.Recorder = Rec;
   Opts.Events = Ev;
@@ -123,14 +122,12 @@ TEST(TelemetryDeterminismTest, ByteIdenticalAcrossReplaysAndThreadCounts) {
   std::string Second = replay(*Serial);
   std::string Third = replay(*Parallel);
 
-#ifndef PACO_DISABLE_OBS
   // The scenario must actually exercise the interesting control points,
   // otherwise bit-identity is vacuous.
   EXPECT_NE(First.find("\"type\": \"server-crash\""), std::string::npos);
   EXPECT_NE(First.find("\"type\": \"server-restart\""), std::string::npos);
   EXPECT_NE(First.find("\"type\": \"run-end\""), std::string::npos);
   EXPECT_NE(First.find("\"series\": \"sim\""), std::string::npos);
-#endif
 
   EXPECT_EQ(First, Second) << "replay of the same pipeline diverged";
   EXPECT_EQ(First, Third) << "analysis thread count leaked into telemetry";

@@ -374,16 +374,9 @@ TEST(TracerTest, RecordsSpansAndInstantsAsValidJSON) {
   T.enable();
   T.clear();
   {
-#ifndef PACO_DISABLE_OBS
     ScopedSpan Span("test.span", "test");
     Span.arg("items", 42u);
     Span.arg("label", "hello \"world\"");
-#else
-    // ScopedSpan compiles to a no-op; drive the tracer directly so the
-    // JSON shape is covered either way.
-    T.completeEvent("test.span", "test", T.nowUs(), 1.0,
-                    {{"items", 42u}, {"label", "hello \"world\""}});
-#endif
     T.instantEvent("test.instant", "test",
                    {{"bytes", static_cast<uint64_t>(1024)}});
   }
@@ -420,7 +413,6 @@ TEST(TracerTest, ConcurrentEventsAllRecorded) {
   T.clear();
 }
 
-#ifndef PACO_DISABLE_OBS
 TEST(ScopedSpanTest, FeedsRegistryTimerEvenWhenTracingDisabled) {
   Tracer::global().disable();
   StatsSnapshot Before = StatsRegistry::global().snapshot();
@@ -432,6 +424,5 @@ TEST(ScopedSpanTest, FeedsRegistryTimerEvenWhenTracingDisabled) {
   StatsSnapshot After = StatsRegistry::global().snapshot();
   EXPECT_EQ(After.Timers.at("test.disabled_span").Count, Calls + 1);
 }
-#endif // PACO_DISABLE_OBS
 
 } // namespace

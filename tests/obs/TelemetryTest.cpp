@@ -5,9 +5,7 @@
 //===----------------------------------------------------------------------===//
 //
 // The telemetry layer: windowed ring buffers, the structured JSONL event
-// log, and the Prometheus/JSONL exporters. A second branch of the file
-// compiles under -DPACO_DISABLE_OBS and asserts the stand-ins really are
-// zero-size no-ops.
+// log, and the Prometheus/JSONL exporters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +20,6 @@ using namespace paco;
 using namespace paco::obs;
 
 namespace {
-
-#ifndef PACO_DISABLE_OBS
 
 TEST(TimeSeriesTest, RingDropsOldestPastCapacity) {
   TimeSeries S("test", 3);
@@ -142,12 +138,17 @@ TEST(EventLogTest, MinLevelDropsWithoutConsumingSequenceNumbers) {
 
 TEST(EventLogTest, EscapesStringsAndSurvivesAtSignInRunId) {
   // An '@' in the run id must not be mistaken for the seq placeholder.
+  // The message covers every escape class of the one obs escaper: quote,
+  // backslash, newline, tab, another control byte, and a UTF-8 sequence,
+  // which passes through unchanged.
   EventLog Log("run@host");
-  Log.event(LogLevel::Info, "e").field("msg", std::string("a\"b\\c\nd"));
+  Log.event(LogLevel::Info, "e")
+      .field("msg", std::string("a\"b\\c\nd\te\x01" "f\xc3\xa9"));
   ASSERT_EQ(Log.size(), 1u);
   EXPECT_EQ(Log.lines()[0],
             "{\"run\": \"run@host\", \"seq\": 0, \"level\": \"info\", "
-            "\"type\": \"e\", \"msg\": \"a\\\"b\\\\c\\nd\"}");
+            "\"type\": \"e\", "
+            "\"msg\": \"a\\\"b\\\\c\\nd\\te\\u0001f\xc3\xa9\"}");
 }
 
 TEST(ExportTest, PrometheusTextExposition) {
@@ -213,32 +214,5 @@ TEST(ExportTest, WriteTextFileReportsFailures) {
   EXPECT_FALSE(writeTextFile("/nonexistent-dir/x/y.txt", "hi", &Err));
   EXPECT_NE(Err.find("/nonexistent-dir/x/y.txt: "), std::string::npos) << Err;
 }
-
-#else // PACO_DISABLE_OBS
-
-TEST(TelemetryDisabledTest, StubsAreZeroSizeNoOps) {
-  // Empty classes occupy the minimum one byte; anything bigger means a
-  // member survived the compile-out.
-  static_assert(sizeof(EventLog) == 1, "EventLog stub must carry no state");
-  static_assert(sizeof(TimeSeries) == 1,
-                "TimeSeries stub must carry no state");
-  static_assert(sizeof(EventLog::EventBuilder) == 1,
-                "EventBuilder stub must carry no state");
-
-  EventLog Log("run");
-  Log.event(LogLevel::Info, "e").field("k", 1u).field("s", "txt");
-  EXPECT_EQ(Log.size(), 0u);
-  EXPECT_EQ(Log.toJSONL(), "");
-
-  TimeSeries S("x", 8);
-  TimeWindow W;
-  W.counter("c", 1);
-  S.push(W);
-  EXPECT_EQ(S.size(), 0u);
-  EXPECT_EQ(S.toJSONL(), "");
-  EXPECT_EQ(windowPrometheusText(S), "");
-}
-
-#endif // PACO_DISABLE_OBS
 
 } // namespace
