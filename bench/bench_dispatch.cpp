@@ -17,8 +17,12 @@
 // against the linear pickChoice scan on a verification subsample (which
 // also cross-checks every answer bit-for-bit), then the service is swept
 // over 1/2/4/8 threads. Emits BENCH_dispatch.json (--out FILE); --quick
-// shrinks the replay for CI. Exits nonzero on any index-vs-scan
-// mismatch.
+// shrinks the replay for CI. Exits nonzero unless all six programs ran,
+// the index and every thread sweep of the service match the scan on
+// every verified request, the program with the most choices keeps a
+// worst-distribution speedup of at least 10x over the scan, and the
+// stats snapshot registers partition.pick_fallback and counts
+// dispatch.queries.
 //
 //===----------------------------------------------------------------------===//
 
@@ -208,7 +212,11 @@ int main(int argc, char **argv) {
 
   const char *Dists[] = {"uniform", "hotspot", "facet"};
   std::vector<unsigned> ThreadCounts{1, 2, 4, 8};
-  size_t TotalMismatches = 0;
+  size_t TotalMismatches = 0, ServiceMismatches = 0, NumPrograms = 0;
+  // The program with the most choices and its worst-distribution speedup.
+  std::string Largest;
+  unsigned LargestChoices = 0;
+  double LargestWorstSpeedup = 0;
 
   std::printf("== Fleet dispatch: compiled index vs linear scan ==\n\n");
   std::fprintf(Out, "  \"programs\": [\n");
@@ -219,6 +227,8 @@ int main(int argc, char **argv) {
     DispatchIndex Index(CP->Partition, CP->Space,
                         static_cast<unsigned>(CP->AST->RuntimeParams.size()));
     double BuildSec = secondsSince(Start);
+    ++NumPrograms;
+    double WorstSpeedup = 1e300;
     std::printf("%s: %s\n", P.Name, Index.describe().c_str());
     std::fprintf(Out,
                  "%s    {\"name\": \"%s\", \"choices\": %u, "
@@ -270,6 +280,7 @@ int main(int argc, char **argv) {
           ++Mismatches;
       TotalMismatches += Mismatches;
       double Speedup = IndexNs > 0 ? LinearNs / IndexNs : 0;
+      WorstSpeedup = std::min(WorstSpeedup, Speedup);
 
       std::printf(
           "  %-8s %9zu req  linear %8.0f ns  indexed %7.1f ns  %6.1fx  "
@@ -304,6 +315,9 @@ int main(int argc, char **argv) {
           Service.dispatchBatch(Flat.data(), NumRequests, NumParams,
                                 Choices.data());
         double Sec = secondsSince(Start) / BatchRepeat;
+        // Every sweep must answer the verified requests as the scan did.
+        ServiceMismatches +=
+            !std::equal(Expect.begin(), Expect.end(), Choices.begin());
         if (Threads == 1)
           OneThreadSec = Sec;
         double Mqps = double(NumRequests) / Sec / 1e6;
@@ -323,6 +337,11 @@ int main(int argc, char **argv) {
     }
     std::fprintf(Out, "\n    ]}");
     std::printf("\n");
+    if (Index.numChoices() > LargestChoices) {
+      Largest = P.Name;
+      LargestChoices = Index.numChoices();
+      LargestWorstSpeedup = WorstSpeedup;
+    }
   }
   std::fprintf(Out, "\n  ],\n");
   std::fprintf(Out, "  \"total_mismatches\": %zu,\n", TotalMismatches);
@@ -331,10 +350,30 @@ int main(int argc, char **argv) {
   std::fclose(Out);
   std::printf("wrote %s\n", OutPath);
 
-  if (TotalMismatches != 0) {
-    std::fprintf(stderr, "error: %zu index-vs-scan mismatches\n",
-                 TotalMismatches);
-    return 1;
+  obs::StatsSnapshot Stats = obs::StatsRegistry::global().snapshot();
+  auto Queries = Stats.Counters.find("dispatch.queries");
+  std::vector<std::string> Failures;
+  if (NumPrograms != 6)
+    Failures.push_back(std::to_string(NumPrograms) +
+                       " program(s), expected all six paper programs");
+  if (TotalMismatches != 0)
+    Failures.push_back(std::to_string(TotalMismatches) +
+                       " index-vs-scan mismatch(es)");
+  if (ServiceMismatches != 0)
+    Failures.push_back(std::to_string(ServiceMismatches) +
+                       " thread sweep(s) disagreeing with the linear scan");
+  if (LargestWorstSpeedup < 10.0) {
+    char Buf[160];
+    std::snprintf(Buf, sizeof(Buf),
+                  "%s: worst speedup %.1fx over the linear scan, below 10x",
+                  Largest.c_str(), LargestWorstSpeedup);
+    Failures.push_back(Buf);
   }
-  return 0;
+  if (!Stats.Counters.count("partition.pick_fallback"))
+    Failures.push_back("partition.pick_fallback missing from the stats");
+  if (Queries == Stats.Counters.end() || Queries->second == 0)
+    Failures.push_back("dispatch.queries not published");
+  for (const std::string &F : Failures)
+    std::fprintf(stderr, "error: %s\n", F.c_str());
+  return Failures.empty() ? 0 : 1;
 }

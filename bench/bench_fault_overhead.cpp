@@ -16,9 +16,10 @@
 //               layer's bookkeeping cost.
 //   drop_10     10% seeded drop rate under DegradeToLocal, for scale.
 //   telemetry   drop-rate 0 with the full telemetry stack attached:
-//               timeline recorder, structured event log, and the
-//               post-run sim-window build. Events fire only at control
-//               points, so this must stay within 2% of fault_free.
+//               timeline recorder, then the structured event log and
+//               the sim windows rendered from it after the run. The
+//               recorder works only at task and message boundaries, so
+//               this must stay within 2% of fault_free.
 //
 // Emits the standard BENCH json line; `pass` asserts the fault_free
 // configuration is within 2% of itself across interleaved repetitions,
@@ -29,7 +30,7 @@
 
 #include "BenchUtil.h"
 
-#include "obs/EventLog.h"
+#include "interp/RunLog.h"
 #include "runtime/SimTelemetry.h"
 
 #include <algorithm>
@@ -92,15 +93,15 @@ double onceMillis(const CompiledProgram &CP, const ExecOptions &Opts) {
 size_t TelemetrySink = 0;
 
 /// Same timed run with the full telemetry stack attached: recorder,
-/// event log, and the post-run sim-window build (the complete cost a
-/// user pays for `--run --log --timeseries`).
+/// then the event log and the sim windows rendered from it (the complete
+/// cost a user pays for `--run --log --timeseries`).
 double onceTelemetryMillis(const CompiledProgram &CP, ExecOptions Opts,
                            RuntimeRecorder &Rec, obs::EventLog &Log) {
   Opts.Recorder = &Rec;
-  Opts.Events = &Log;
   Log.clear();
   auto Start = std::chrono::steady_clock::now();
   ExecResult Result = runProgram(CP, Opts);
+  appendRunLog(Log, CP, Opts, Result, Rec);
   obs::TimeSeries Windows = buildSimWindows(Rec);
   auto End = std::chrono::steady_clock::now();
   if (!Result.OK) {

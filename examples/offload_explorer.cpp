@@ -52,7 +52,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "dispatch/DispatchService.h"
-#include "interp/Interp.h"
+#include "interp/RunLog.h"
 #include "lang/PrintAST.h"
 #include "obs/CostAudit.h"
 #include "obs/EventLog.h"
@@ -671,18 +671,18 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   Opts.Crash = Crash;
   Opts.LedgerBudgetBytes = LedgerBudget;
   // The timeline recorder feeds the cost audit, the text Gantt, the
-  // simulated-time trace lanes and the sim-time telemetry windows; skip
-  // it when nothing consumes it.
+  // simulated-time trace lanes, the sim-time telemetry windows and the
+  // event log; skip it when nothing consumes it.
   RuntimeRecorder Recorder;
   bool WantSimWindows =
       !Obs.MetricsPath.empty() || !Obs.TimeseriesPath.empty();
   bool WantTimeline = !AuditPath.empty() || Report || !TracePath.empty() ||
-                      WantSimWindows;
+                      WantSimWindows || !Obs.LogPath.empty();
   if (WantTimeline)
     Opts.Recorder = &Recorder;
-  if (!Obs.LogPath.empty())
-    Opts.Events = &Obs.Log;
   ExecResult R = runProgram(*CP, Opts);
+  if (!Obs.LogPath.empty())
+    appendRunLog(Obs.Log, *CP, Opts, R, Recorder);
   if (WantSimWindows) {
     SimWindowOptions SimOpts;
     SimOpts.WindowUnits = Rational(WindowUnits);

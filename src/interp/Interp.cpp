@@ -129,8 +129,7 @@ public:
         ClosedLoop(Opts.Adapt.Policy == AdaptationPolicy::ClosedLoop),
         EvalPeriod(std::max(1u, Opts.Adapt.EvalPeriod)),
         ProbePeriod(std::max(1u, Opts.Adapt.ProbePeriodBoundaries)),
-        CrashArmed(Opts.Crash.active()), Rec(Opts.Recorder),
-        Ev(Opts.Events) {
+        CrashArmed(Opts.Crash.active()), Rec(Opts.Recorder) {
     if (ClosedLoop)
       Prof.emplace(CP.Costs, Opts.Adapt.Alpha);
   }
@@ -245,41 +244,46 @@ private:
   // Segments and messages partition the run on the simulated clock:
   // every message (scheduling, transfer, registration -- the last can
   // strike mid-segment, at a malloc) closes the open segment first, so
-  // span durations sum exactly to the elapsed time. All hooks are task/
+  // span durations sum exactly to the elapsed time. The machine tracks
+  // the open segment once and hands each closed one to the recorder and,
+  // in a closed-loop run, to the online profiler. All hooks are task/
   // message-grained; the per-instruction path only bumps SegInstrs.
   //===--------------------------------------------------------------===//
 
-  void recEndSegment() {
-    bool RecOpen = Rec && Rec->open();
-    if (!RecOpen && !ProfSegOpen)
-      return;
+  /// Closes the open segment now with \p Instrs instructions and hands it
+  /// to the recorder and the profiler.
+  void closeSegment(uint64_t Instrs) {
+    SegOpen = false;
     Rational Now = Sim.now();
-    if (ProfSegOpen) {
-      Prof->observeCompute(ProfSegServer, SegInstrs, Now - ProfSegStart);
-      ProfSegOpen = false;
-    }
-    if (RecOpen) {
-      Rec->endSegment(std::move(Now), SegInstrs);
+    if (Prof)
+      Prof->observeCompute(SegServer, Instrs, Now - SegStart);
+    if (Rec) {
+      Rec->segment({SegTask, SegServer, Instrs, std::move(SegStart),
+                    std::move(Now)});
       // Registry entries are never erased, so the by-name lookup (mutex
       // + map walk) can be paid once per process, not per segment.
       static obs::Histogram &SegHist =
           obs::StatsRegistry::global().histogram("sim.task_segment_instrs");
-      SegHist.record(SegInstrs);
+      SegHist.record(Instrs);
     }
+  }
+
+  void recEndSegment() {
+    if (!SegOpen)
+      return;
+    closeSegment(SegInstrs);
     SegInstrs = 0;
   }
 
   void recBeginSegment() {
     if (!Rec && !Prof)
       return;
-    Rational Now = Sim.now();
-    if (Rec)
-      Rec->beginSegment(CurrentTask, OnServer, Now);
-    if (Prof) {
-      ProfSegStart = std::move(Now);
-      ProfSegServer = OnServer;
-      ProfSegOpen = true;
-    }
+    if (SegOpen)
+      closeSegment(0); // A still-open segment ends with zero instructions.
+    SegOpen = true;
+    SegTask = CurrentTask;
+    SegServer = OnServer;
+    SegStart = Sim.now();
   }
 
   /// Runs \p Send (one simulator message) and records it -- to the
@@ -314,19 +318,6 @@ private:
       Rec->message(std::move(M));
     }
     return Delivered;
-  }
-
-  /// Starts one structured event at simulated time \p At, pre-stamped
-  /// with the exact (Rational) time and the active task. Callers must
-  /// check Ev first; further fields chain onto the returned builder.
-  obs::EventLog::EventBuilder event(obs::LogLevel L, const char *Type,
-                                    const Rational &At) {
-    auto B = Ev->event(L, Type);
-    B.field("t_units", At.toString());
-    B.field("task", CurrentTask);
-    if (CurrentTask < CP.Graph.Tasks.size())
-      B.field("task_label", CP.Graph.Tasks[CurrentTask].Label);
-    return B;
   }
 
   //===--------------------------------------------------------------===//
@@ -421,12 +412,11 @@ private:
   /// Pins the run to the client for good. Nothing reads the online
   /// profiler from here on (drift evaluation runs only while the run is
   /// not degraded, probing only in LocalFallback), so it is dropped, and
-  /// its open segment, if any, closes unobserved.
+  /// the open segment, if any, closes unobserved.
   void degradeForGood() {
     Degraded = true;
     LocalFallback = false;
     Prof.reset();
-    ProfSegOpen = false;
   }
 
   /// Restores the last checkpoint and resumes on the client -- either as
@@ -520,24 +510,11 @@ private:
       degradeForGood();
     }
     ++Counts.Fallbacks;
-    if (obs::Tracer::global().enabled())
-      obs::Tracer::global().instantEvent(
-          "sim.fallback", "sim",
-          {{"resume_task", CP.Graph.Tasks[CurrentTask].Label},
-           {"restored", Restored},
-           {"permanent", LocalFallback ? "false" : "true"}});
     if (Rec) {
-      RecoveryMark M;
-      M.K = RecoveryMark::Kind::Fallback;
-      M.At = Sim.now();
-      M.AtTask = CurrentTask;
+      RunMark &M = Rec->mark(RunMark::Kind::Fallback, Sim.now(), CurrentTask);
       M.Restored = Restored;
-      Rec->recovery(std::move(M));
+      M.Permanent = !LocalFallback;
     }
-    if (Ev)
-      event(obs::LogLevel::Info, "fallback", Sim.now())
-          .field("restored", Restored)
-          .field("permanent", !LocalFallback);
     recBeginSegment(); // Resume the timeline on the client.
   }
 
@@ -593,15 +570,8 @@ private:
   /// when the caller must roll back (WantRollback set) or the run
   /// failed; true when the crash needs no further action.
   bool onServerCrash(const Rational &At) {
-    if (Rec) {
-      RecoveryMark M;
-      M.K = RecoveryMark::Kind::Crash;
-      M.At = At;
-      M.AtTask = CurrentTask;
-      Rec->recovery(std::move(M));
-    }
-    if (Ev)
-      event(obs::LogLevel::Warn, "server-crash", At);
+    if (Rec)
+      Rec->mark(RunMark::Kind::Crash, At, CurrentTask);
     // The server process died: both the live state and the checkpoint
     // state lose their server-side copies (the saved "server" halves
     // lived in the same process). A region the undo log does not hold is
@@ -629,17 +599,8 @@ private:
     Rational CrashedAt, RestartedAt;
     Sim.takeServerEvents(Crashed, CrashedAt, Restarted, RestartedAt);
     bool CrashHandled = !Crashed || onServerCrash(CrashedAt);
-    if (Restarted) {
-      if (Rec) {
-        RecoveryMark M;
-        M.K = RecoveryMark::Kind::Restart;
-        M.At = RestartedAt;
-        M.AtTask = CurrentTask;
-        Rec->recovery(std::move(M));
-      }
-      if (Ev)
-        event(obs::LogLevel::Info, "server-restart", RestartedAt);
-    }
+    if (Restarted && Rec)
+      Rec->mark(RunMark::Kind::Restart, RestartedAt, CurrentTask);
     return CrashHandled;
   }
 
@@ -712,11 +673,13 @@ private:
       if (EvictedOnce.count(Id)) {
         ++Counts.LedgerRefetches;
         EvictedOnce.erase(Id);
-        if (Ev)
-          event(obs::LogLevel::Info, "ledger-refetch", Sim.now())
-              .field("region", Id)
-              .field("loc", CP.Memory->loc(Region.LocId).Name)
-              .field("bytes", Bytes);
+        if (Rec) {
+          RunMark &M =
+              Rec->mark(RunMark::Kind::LedgerRefetch, Sim.now(), CurrentTask);
+          M.Region = Id;
+          M.LocId = Region.LocId;
+          M.Bytes = Bytes;
+        }
       }
       LedgerPin Pin;
       Pin.Version = Region.ServerVersion;
@@ -757,15 +720,14 @@ private:
       PinnedBytes -= Victim->second.Bytes;
       EvictedOnce.insert(Victim->first);
       ++Counts.LedgerEvictions;
-      if (Ev) {
+      if (Rec) {
         unsigned Id = Victim->first;
-        event(obs::LogLevel::Info, "ledger-evict", Sim.now())
-            .field("region", Id)
-            .field("loc", Id < Regions.size()
-                              ? CP.Memory->loc(Regions[Id].LocId).Name
-                              : std::string("?"))
-            .field("bytes", Victim->second.Bytes)
-            .field("pinned_bytes", PinnedBytes);
+        RunMark &M =
+            Rec->mark(RunMark::Kind::LedgerEvict, Sim.now(), CurrentTask);
+        M.Region = Id;
+        M.LocId = Id < Regions.size() ? Regions[Id].LocId : KNone;
+        M.Bytes = Victim->second.Bytes;
+        M.PinnedBytes = PinnedBytes;
       }
       Ledger.erase(Victim);
     }
@@ -779,20 +741,9 @@ private:
   void exhaustProbes() {
     degradeForGood();
     ++Counts.ProbeExhaustions;
-    if (obs::Tracer::global().enabled())
-      obs::Tracer::global().instantEvent(
-          "recovery.probe_exhausted", "sim",
-          {{"probes", Counts.Probes}});
-    if (Rec) {
-      RecoveryMark M;
-      M.K = RecoveryMark::Kind::Exhausted;
-      M.At = Sim.now();
-      M.AtTask = CurrentTask;
-      Rec->recovery(std::move(M));
-    }
-    if (Ev)
-      event(obs::LogLevel::Warn, "probe-exhausted", Sim.now())
-          .field("probes", Counts.Probes);
+    if (Rec)
+      Rec->mark(RunMark::Kind::Exhausted, Sim.now(), CurrentTask).Probes =
+          Counts.Probes;
   }
 
   /// Runs at each task boundary of a LocalFallback run: every
@@ -816,16 +767,6 @@ private:
     bool Up = recMessage(MessageRecord::Kind::Probe, true, CurrentTask,
                          CurrentTask, KNone, Opts.Adapt.ProbeBytes,
                          [&] { return Sim.tryProbe(Opts.Adapt.ProbeBytes); });
-    if (obs::Tracer::global().enabled())
-      obs::Tracer::global().instantEvent(
-          "recovery.probe", "sim",
-          {{"delivered", Up ? "true" : "false"},
-           {"probes_sent", Counts.Probes}});
-    if (Ev)
-      event(obs::LogLevel::Info, "probe", Sim.now())
-          .field("delivered", Up)
-          .field("probes_sent", Counts.Probes)
-          .field("probe_bytes", Opts.Adapt.ProbeBytes);
     if (!Up) {
       if (Counts.Probes >= Opts.Adapt.ProbeBudget)
         exhaustProbes();
@@ -863,16 +804,9 @@ private:
     if (!redispatch(Best, std::move(Stay), std::move(BestCost)))
       return false;
     ++Counts.Reoffloads;
-    if (Rec) {
-      RecoveryMark M;
-      M.K = RecoveryMark::Kind::Reoffload;
-      M.At = Sim.now();
-      M.AtTask = CurrentTask;
-      Rec->recovery(std::move(M));
-    }
-    if (Ev)
-      event(obs::LogLevel::Info, "re-offload", Sim.now())
-          .field("to_choice", Best);
+    if (Rec)
+      Rec->mark(RunMark::Kind::Reoffload, Sim.now(), CurrentTask).ToChoice =
+          Best;
     return true;
   }
 
@@ -948,7 +882,11 @@ private:
   bool pushFrame(unsigned FuncIdx, unsigned RetFunc, unsigned RetBlock,
                  unsigned RetDstVar);
 
-  bool execInstr(const Instr &I);
+  /// Runs once per interpreted instruction, from run()'s loop only, so it
+  /// is forced inline there: as an out-of-line call it cost the all-local
+  /// interpreter about 3%, and the inliner's own choice flips with the
+  /// size of the task-boundary work the loop also inlines.
+  [[gnu::always_inline]] inline bool execInstr(const Instr &I);
   bool execArith(const Instr &I);
   int64_t nextInput() {
     if (InputPos >= Opts.Inputs.size())
@@ -1016,8 +954,13 @@ private:
   std::vector<uint64_t> TaskInstrCounts;
 
   RuntimeRecorder *Rec = nullptr;
-  obs::EventLog *Ev = nullptr;
-  uint64_t SegInstrs = 0; ///< Instructions in the open timeline segment.
+  // The open timeline segment (tracked while a recorder or the profiler
+  // consumes segments).
+  bool SegOpen = false;
+  unsigned SegTask = KNone;
+  bool SegServer = false;
+  Rational SegStart;
+  uint64_t SegInstrs = 0; ///< Instructions in the open segment.
 
   // Drift-detector state: boundary counters for the evaluation cadence
   // and dwell, and the challenger's confirmation streak.
@@ -1026,11 +969,6 @@ private:
   bool HavePending = false;
   unsigned PendingChoice = KNone;
   unsigned PendingStreak = 0;
-  // Profiler's view of the open segment (tracked independently of the
-  // optional timeline recorder).
-  bool ProfSegOpen = false;
-  bool ProfSegServer = false;
-  Rational ProfSegStart;
 };
 
 const std::vector<Machine::Movement> &Machine::transferSet(unsigned A,
@@ -1081,12 +1019,6 @@ bool Machine::crossTask(unsigned NewTask) {
                     [&] { return Sim.trySchedule(/*ToServer=*/NewServer); }))
       return linkLost("task-scheduling message");
     OnServer = NewServer;
-    if (obs::Tracer::global().enabled())
-      obs::Tracer::global().instantEvent(
-          "sim.schedule", "sim",
-          {{"from_task", CP.Graph.Tasks[OldTask].Label},
-           {"to_task", CP.Graph.Tasks[NewTask].Label},
-           {"dir", NewServer ? "c2s" : "s2c"}});
   }
   for (const Movement &Move : transferSet(OldTask, NewTask)) {
     uint64_t Bytes = 0;
@@ -1100,15 +1032,6 @@ bool Machine::crossTask(unsigned NewTask) {
                     NewTask, Move.LocId, Bytes,
                     [&] { return Sim.tryTransfer(Move.ToServer, Bytes); }))
       return linkLost("data transfer");
-    if (obs::Tracer::global().enabled())
-      obs::Tracer::global().instantEvent(
-          "sim.transfer", "sim",
-          {{"from_task", CP.Graph.Tasks[OldTask].Label},
-           {"to_task", CP.Graph.Tasks[NewTask].Label},
-           {"data", CP.Memory->loc(Move.LocId).Name},
-           {"loc", static_cast<uint64_t>(Move.LocId)},
-           {"bytes", Bytes},
-           {"dir", Move.ToServer ? "c2s" : "s2c"}});
     // The transfer's purpose is to validate the destination copy; the
     // data always comes from the currently valid copy (the static
     // certificate may schedule a transfer whose nominal source copy is
@@ -1215,7 +1138,8 @@ bool Machine::migrateLoc(unsigned D, bool ToServer) {
 
 bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   recEndSegment(); // The switch happens between tasks.
-  AdaptMark E;
+  RunMark E;
+  E.K = RunMark::Kind::Redispatch;
   E.At = Sim.now();
   E.AtTask = CurrentTask;
   E.FromChoice = Choice;
@@ -1265,25 +1189,8 @@ bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   HavePending = false;
   PendingStreak = 0;
 
-  auto choiceArg = [](unsigned C) {
-    return C == KNone ? std::string("local") : std::to_string(C);
-  };
-  if (obs::Tracer::global().enabled())
-    obs::Tracer::global().instantEvent(
-        "adapt.redispatch", "sim",
-        {{"at_task", CP.Graph.Tasks[E.AtTask].Label},
-         {"from_choice", choiceArg(E.FromChoice)},
-         {"to_choice", choiceArg(E.ToChoice)},
-         {"predicted_stay", E.PredictedStay.toString()},
-         {"predicted_switch", E.PredictedSwitch.toString()}});
   if (Rec)
-    Rec->adapt(E);
-  if (Ev)
-    event(obs::LogLevel::Info, "redispatch", E.At)
-        .field("from_choice", choiceArg(E.FromChoice))
-        .field("to_choice", choiceArg(E.ToChoice))
-        .field("predicted_stay", E.PredictedStay.toString())
-        .field("predicted_switch", E.PredictedSwitch.toString());
+    Rec->mark(E);
   Counts.Redispatches.push_back(std::move(E));
   recBeginSegment();
   return true;
@@ -1652,16 +1559,8 @@ ExecResult Machine::run() {
   if (ClosedLoop && FullPoint.empty())
     FullPoint = CP.parameterPoint(Opts.ParamValues);
   Result.ChoiceUsed = Choice;
-  if (Ev)
-    event(obs::LogLevel::Info, "run-start", Rational(0))
-        .field("choice",
-               Choice == KNone ? std::string("local") : std::to_string(Choice))
-        .field("mode", Opts.Mode == ExecOptions::Placement::AllClient
-                           ? "all-client"
-                           : (Opts.Mode == ExecOptions::Placement::Dispatch
-                                  ? "dispatch"
-                                  : "forced"))
-        .field("closed_loop", ClosedLoop);
+  if (Rec) // Before the entry task: no task is active yet.
+    Rec->mark(RunMark::Kind::RunStart, Rational(0), CurrentTask);
 
   LiveOfLoc.resize(CP.Memory->numLocs());
   // Globals: client copies take the initializers, server copies start
@@ -1810,20 +1709,8 @@ ExecResult Machine::run() {
   Span.arg("instructions", Counts.ClientInstrs + Counts.ServerInstrs);
   Span.arg("transfers", Result.TransferCount);
   Span.arg("migrations", Result.Migrations);
-  if (Ev)
-    event(obs::LogLevel::Info, "run-end", Result.Time)
-        .field("ok", Result.OK)
-        .field("degraded", Result.Degraded)
-        .field("final_choice", Result.FinalChoice == KNone
-                                   ? std::string("local")
-                                   : std::to_string(Result.FinalChoice))
-        .field("crashes", Result.Crashes)
-        .field("redispatches",
-               static_cast<uint64_t>(Result.Redispatches.size()))
-        .field("reoffloads", Result.Reoffloads)
-        .field("transfers", Result.TransferCount)
-        .field("timeouts", Result.Timeouts)
-        .field("retries", Result.Retries);
+  if (Rec)
+    Rec->mark(RunMark::Kind::RunEnd, Result.Time, CurrentTask);
   return Result;
 }
 

@@ -20,7 +20,6 @@
 #ifndef PACO_INTERP_INTERP_H
 #define PACO_INTERP_INTERP_H
 
-#include "obs/EventLog.h"
 #include "runtime/OnlineProfiler.h"
 #include "runtime/Simulator.h"
 #include "runtime/Timeline.h"
@@ -117,16 +116,14 @@ struct ExecOptions {
   /// evicted, so the budget is a soft target with a hard safety floor.
   uint64_t LedgerBudgetBytes = 1ull << 20;
   /// Optional timeline recorder (cleared at run start): receives every
-  /// task-execution segment and runtime message on the simulated clock.
-  /// Costs one elapsed-time evaluation per task boundary, nothing on the
+  /// task-execution segment and runtime message on the simulated clock,
+  /// and a mark at every run start and end, re-dispatch, crash, restart,
+  /// fallback, re-offload, probe exhaustion and ledger eviction/refetch.
+  /// The cost audit, the Gantt, the trace lanes, the sim windows and the
+  /// event log (interp/RunLog.h) all render from it. Costs one
+  /// elapsed-time evaluation per task boundary, nothing on the
   /// per-instruction path.
   RuntimeRecorder *Recorder = nullptr;
-  /// Optional structured event log: receives one event per dispatch,
-  /// redispatch, probe, crash, restart, fallback, re-offload and ledger
-  /// eviction/refetch, stamped with the exact simulated time. Events are
-  /// emitted only at those (rare) control points, never on the
-  /// per-instruction path.
-  obs::EventLog *Events = nullptr;
 };
 
 /// Everything measured during one run: the run's counters plus what

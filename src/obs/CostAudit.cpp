@@ -7,6 +7,7 @@
 #include "obs/CostAudit.h"
 
 #include "obs/JSONText.h"
+#include "partition/Reprice.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -24,19 +25,6 @@ double AuditEntry::relErrorPct() const {
 }
 
 namespace {
-
-/// The audited run's placement: per-task host plus the validity / access
-/// node values of the chosen cut, mirroring the Theorem-1 arc semantics
-/// (source side = server = logic value 1).
-struct PlacementView {
-  const CompiledProgram &CP;
-  unsigned Choice;
-
-  bool onServer(unsigned Task) const {
-    return Choice != KNone && CP.Partition.Choices[Choice].TaskOnServer[Task];
-  }
-  bool value(NodeId N) const { return CP.Partition.nodeValue(Choice, N); }
-};
 
 std::string fmtUnits(const Rational &V) {
   char Buf[48];
@@ -126,9 +114,9 @@ std::string CostAuditReport::toJSON() const {
            (I + 1 != 5 ? ",\n" : "\n");
   Out += "  },\n";
   Out += "  \"redispatches\": [";
-  const std::vector<AdaptMark> &Redispatches = Counters.Redispatches;
+  const std::vector<RunMark> &Redispatches = Counters.Redispatches;
   for (size_t I = 0; I != Redispatches.size(); ++I) {
-    const AdaptMark &E = Redispatches[I];
+    const RunMark &E = Redispatches[I];
     auto choice = [](unsigned C) {
       return C == KNone ? std::string("null") : std::to_string(C);
     };
@@ -222,7 +210,7 @@ std::string CostAuditReport::toText() const {
       return C == KNone ? std::string("local")
                         : "choice " + std::to_string(C);
     };
-    for (const AdaptMark &E : Counters.Redispatches) {
+    for (const RunMark &E : Counters.Redispatches) {
       char Buf[192];
       std::snprintf(Buf, sizeof(Buf),
                     "  t=%s task %u: %s -> %s (predicted %s -> %s)\n",
@@ -317,36 +305,11 @@ CostAuditReport paco::obs::auditRun(const CompiledProgram &CP,
 
   const std::vector<Rational> Point = CP.parameterPoint(ParamValues);
   const CostModel &C = CP.Costs;
-  PlacementView P{CP, R.Choice};
 
   //===------------------------------------------------------------------===//
-  // Computation: s->M(v) arcs (client, cut when M(v)=0) and M(v)->t arcs
-  // (server, cut when M(v)=1).
-  //===------------------------------------------------------------------===//
-  for (unsigned V = 0; V != CP.Graph.numTasks(); ++V) {
-    const TCFG::Task &Task = CP.Graph.Tasks[V];
-    bool Server = P.onServer(V);
-    Rational Units = Task.ComputeUnits.evaluate(Point);
-    Rational Rate = Server ? C.Ts : C.Tc;
-    auto It = Run.TaskInstrs.find(V);
-    uint64_t Instrs = It == Run.TaskInstrs.end() ? 0 : It->second;
-    AuditEntry E;
-    E.What = "compute " + Task.Label + (Server ? " @server" : " @client");
-    E.Predicted = Units * Rate;
-    E.Actual = Rational(static_cast<int64_t>(Instrs)) * Rate;
-    (Server ? R.ServerCompute : R.ClientCompute).Predicted += E.Predicted;
-    if (E.Predicted.isZero() && E.Actual.isZero())
-      continue;
-    R.Tasks.push_back(std::move(E));
-  }
-  R.ClientCompute.Actual =
-      Rational(static_cast<int64_t>(Run.ClientInstrs)) * C.Tc;
-  R.ServerCompute.Actual =
-      Rational(static_cast<int64_t>(Run.ServerInstrs)) * C.Ts;
-
-  //===------------------------------------------------------------------===//
-  // Messages. Keyed rows merge the static prediction with the recorder's
-  // actuals; ordered map keys make emission order deterministic.
+  // Rows. The prediction fills per-task rows and keyed message rows, and
+  // the recorder's actuals merge into the message rows; ordered map keys
+  // make emission order deterministic.
   //===------------------------------------------------------------------===//
   // (kind, from, to, loc, toServer) -> row. Kind: 0 sched, 1 xfer, 2 reg,
   // 3 recovery probe, 4 ledger sync.
@@ -383,45 +346,41 @@ CostAuditReport paco::obs::auditRun(const CompiledProgram &CP,
     return It->second;
   };
 
-  if (R.Choice != KNone) {
-    for (const auto &[Edge, CountExpr] : CP.Graph.Edges) {
-      if (CountExpr.isZero())
-        continue;
-      auto [U, V] = Edge;
-      bool MU = P.onServer(U), MV = P.onServer(V);
-      Rational Count = CountExpr.evaluate(Point);
-      // Scheduling arcs M(v)->M(u) (c2s) / M(u)->M(v) (s2c).
-      if (!MU && MV)
-        msgRow(0, U, V, KNone, true).Predicted += Count * C.Tcst;
-      else if (MU && !MV)
-        msgRow(0, U, V, KNone, false).Predicted += Count * C.Tsct;
-      // Communication arcs per relevant data item on this edge.
-      for (unsigned D : CP.Problem.DataItems) {
-        auto UIt = CP.Problem.VNodes.find({U, D});
-        auto VIt = CP.Problem.VNodes.find({V, D});
-        if (UIt == CP.Problem.VNodes.end() ||
-            VIt == CP.Problem.VNodes.end())
-          continue;
-        Rational Bytes = CP.Memory->byteSize(D).evaluate(Point);
-        // Arc Vsi(v)->Vso(u): cut when Vsi(v)=1 and Vso(u)=0.
-        if (P.value(VIt->second.Vsi) && !P.value(UIt->second.Vso))
-          msgRow(1, U, V, D, true).Predicted +=
-              Count * (C.Tcsh + Bytes * C.Tcsu);
-        // Arc nVco(u)->nVci(v): cut when nVco(u)=1 and nVci(v)=0.
-        if (P.value(UIt->second.NVco) && !P.value(VIt->second.NVci))
-          msgRow(1, U, V, D, false).Predicted +=
-              Count * (C.Tsch + Bytes * C.Tscu);
-      }
+  // The prediction: the chosen cut's priced arcs, the walk the closed
+  // loop reprices with. Computation arcs come per task, in task order.
+  for (const PricedArc &A : pricedArcs(CP.Graph, *CP.Memory, CP.Problem,
+                                       CP.Partition, R.Choice, Point)) {
+    Rational Cost = arcCost(A, C);
+    switch (A.K) {
+    case PricedArc::Kind::Compute: {
+      auto It = Run.TaskInstrs.find(A.From);
+      uint64_t Instrs = It == Run.TaskInstrs.end() ? 0 : It->second;
+      AuditEntry E;
+      E.What = "compute " + CP.Graph.Tasks[A.From].Label +
+               (A.Server ? " @server" : " @client");
+      E.Predicted = std::move(Cost);
+      E.Actual =
+          Rational(static_cast<int64_t>(Instrs)) * (A.Server ? C.Ts : C.Tc);
+      (A.Server ? R.ServerCompute : R.ClientCompute).Predicted += E.Predicted;
+      if (!E.Predicted.isZero() || !E.Actual.isZero())
+        R.Tasks.push_back(std::move(E));
+      break;
     }
-    // Registration arcs Ns(d)->nNc(d): cut when Ns=1 and nNc=0.
-    for (const auto &[D, Nodes] : CP.Problem.AccessNodes) {
-      bool Ns = P.value(Nodes.first);
-      bool Nc = !P.value(Nodes.second);
-      if (Ns && Nc)
-        msgRow(2, KNone, KNone, D, true).Predicted +=
-            CP.Memory->loc(D).AllocCount.evaluate(Point) * C.Ta;
+    case PricedArc::Kind::Schedule:
+      msgRow(0, A.From, A.To, KNone, A.Server).Predicted += Cost;
+      break;
+    case PricedArc::Kind::Transfer:
+      msgRow(1, A.From, A.To, A.Item, A.Server).Predicted += Cost;
+      break;
+    case PricedArc::Kind::Registration:
+      msgRow(2, KNone, KNone, A.Item, true).Predicted += Cost;
+      break;
     }
   }
+  R.ClientCompute.Actual =
+      Rational(static_cast<int64_t>(Run.ClientInstrs)) * C.Tc;
+  R.ServerCompute.Actual =
+      Rational(static_cast<int64_t>(Run.ServerInstrs)) * C.Ts;
 
   // Actual message costs, reconstructed from the recorder exactly as the
   // Simulator charged them (lost attempts charge only fault time, which

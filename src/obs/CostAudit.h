@@ -8,8 +8,9 @@
 /// Closes the loop between the parametric analysis and the runtime: given
 /// a completed run at concrete parameter values h, evaluates the chosen
 /// partitioning's predicted computation / scheduling / communication /
-/// registration costs from the ParametricResult (the same Theorem-1 arc
-/// semantics the min cut priced) and diffs them against what the
+/// registration costs from the ParametricResult (the Theorem-1 arcs the
+/// min cut priced, walked by partition/Reprice.h's pricedArcs as the
+/// closed loop's repricing walks them) and diffs them against what the
 /// Simulator actually charged -- per component, per task, and (when a
 /// RuntimeRecorder was attached) per message class. The report carries
 /// exact Rational costs, absolute and relative errors, the worst

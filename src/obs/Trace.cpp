@@ -88,16 +88,6 @@ void Tracer::sortProcess(uint32_t Pid, int64_t SortIndex) {
                     {TraceArg("sort_index", SortIndex)}});
 }
 
-void Tracer::instantEvent(const std::string &Name, const char *Category,
-                          std::vector<TraceArg> Args) {
-  if (!enabled())
-    return;
-  double Ts = nowUs();
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Events.push_back({'i', Name, Category, Ts, 0, 1, tidLocked(),
-                    std::move(Args)});
-}
-
 void Tracer::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Events.clear();
@@ -144,15 +134,10 @@ std::string Tracer::toJSON() const {
                     "\", \"ph\": \"X\", \"ts\": %.3f, \"dur\": %.3f, "
                     "\"pid\": %u, \"tid\": %u",
                     E.TsUs, E.DurUs, E.Pid, E.Tid);
-    else if (E.Phase == 'M')
+    else
       std::snprintf(Buf, sizeof(Buf),
                     "\", \"ph\": \"M\", \"pid\": %u, \"tid\": %u", E.Pid,
                     E.Tid);
-    else
-      std::snprintf(Buf, sizeof(Buf),
-                    "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": %.3f, "
-                    "\"pid\": %u, \"tid\": %u",
-                    E.TsUs, E.Pid, E.Tid);
     Out += Buf;
     if (!E.Args.empty()) {
       Out += ", \"args\": {";

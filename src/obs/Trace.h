@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide tracer recording scoped spans (complete events) and
-/// instant events, exported in the Chrome trace-event JSON format that
+/// A process-wide tracer recording scoped spans and simulated-clock lanes
+/// (complete events), exported in the Chrome trace-event JSON format that
 /// chrome://tracing and Perfetto load directly. Tracing is off by default;
 /// a disabled tracer costs one relaxed atomic load per would-be event, so
 /// instrumentation stays unconditionally compiled in.
@@ -86,11 +86,6 @@ public:
   /// interleaving by pid. No-op when disabled.
   void sortProcess(uint32_t Pid, int64_t SortIndex);
 
-  /// Records an instant ("ph":"i") event at the current time. No-op when
-  /// disabled.
-  void instantEvent(const std::string &Name, const char *Category,
-                    std::vector<TraceArg> Args = {});
-
   /// Drops all recorded events (the clock keeps running).
   void clear();
   size_t eventCount() const;
@@ -102,7 +97,7 @@ public:
 
 private:
   struct Event {
-    char Phase; // 'X', 'i' or 'M'
+    char Phase; // 'X' or 'M'
     std::string Name;
     const char *Category;
     double TsUs;

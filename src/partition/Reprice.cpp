@@ -8,39 +8,36 @@
 
 using namespace paco;
 
-PriceCoefficients paco::priceCoefficients(const TCFG &Graph,
-                                          const MemoryModel &Memory,
-                                          const PartitionProblem &Problem,
-                                          const ParametricResult &Partition,
-                                          unsigned Choice,
-                                          const std::vector<Rational> &Point) {
-  enum { Tc, Ts, Tcst, Tsct, Tcsh, Tcsu, Tsch, Tscu, Ta };
+std::vector<PricedArc> paco::pricedArcs(const TCFG &Graph,
+                                        const MemoryModel &Memory,
+                                        const PartitionProblem &Problem,
+                                        const ParametricResult &Partition,
+                                        unsigned Choice,
+                                        const std::vector<Rational> &Point) {
+  // Source side = server = logic value 1.
   auto onServer = [&](unsigned Task) {
     return Choice != KNone && Partition.Choices[Choice].TaskOnServer[Task];
   };
   auto value = [&](NodeId N) { return Partition.nodeValue(Choice, N); };
+  using Kind = PricedArc::Kind;
 
   // Computation: every task runs at its host's rate.
-  PriceCoefficients C;
+  std::vector<PricedArc> Arcs;
   for (unsigned V = 0; V != Graph.numTasks(); ++V)
-    C[onServer(V) ? Ts : Tc] += Graph.Tasks[V].ComputeUnits.evaluate(Point);
+    Arcs.push_back({Kind::Compute, V, V, KNone, onServer(V),
+                    Graph.Tasks[V].ComputeUnits.evaluate(Point), {}});
   if (Choice == KNone)
-    return C;
+    return Arcs;
 
-  // Messages, mirroring the audit's arc semantics: scheduling on
-  // placement-crossing edges, transfers where an item becomes valid on
-  // the other host, registration where both hosts access a dynamic
-  // item.
   for (const auto &[Edge, CountExpr] : Graph.Edges) {
     if (CountExpr.isZero())
       continue;
     auto [U, V] = Edge;
     bool MU = onServer(U), MV = onServer(V);
     Rational Count = CountExpr.evaluate(Point);
-    if (!MU && MV)
-      C[Tcst] += Count;
-    else if (MU && !MV)
-      C[Tsct] += Count;
+    // Scheduling arcs M(v)->M(u) (c2s) / M(u)->M(v) (s2c).
+    if (MU != MV)
+      Arcs.push_back({Kind::Schedule, U, V, KNone, MV, Count, {}});
     // The data items with validity nodes at both ends: VNodes is sorted by
     // (task, item), so merge U's and V's runs by item.
     auto UIt = Problem.VNodes.lower_bound({U, 0});
@@ -57,24 +54,68 @@ PriceCoefficients paco::priceCoefficients(const TCFG &Graph,
         continue;
       }
       const ValidityNodes &UN = (UIt++)->second, &VN = (VIt++)->second;
+      // Arc Vsi(v)->Vso(u): cut when Vsi(v)=1 and Vso(u)=0. Arc
+      // nVco(u)->nVci(v): cut when nVco(u)=1 and nVci(v)=0.
       bool ToServer = value(VN.Vsi) && !value(UN.Vso);
       bool ToClient = value(UN.NVco) && !value(VN.NVci);
       if (!ToServer && !ToClient)
         continue;
       Rational Bytes = Memory.byteSize(D).evaluate(Point);
-      if (ToServer) {
-        C[Tcsh] += Count;
-        C[Tcsu] += Count * Bytes;
-      }
-      if (ToClient) {
-        C[Tsch] += Count;
-        C[Tscu] += Count * Bytes;
-      }
+      if (ToServer)
+        Arcs.push_back({Kind::Transfer, U, V, D, true, Count, Bytes});
+      if (ToClient)
+        Arcs.push_back({Kind::Transfer, U, V, D, false, Count, Bytes});
     }
   }
+  // Registration arcs Ns(d)->nNc(d): cut when Ns=1 and nNc=0.
   for (const auto &[D, Nodes] : Problem.AccessNodes)
     if (value(Nodes.first) && !value(Nodes.second))
-      C[Ta] += Memory.loc(D).AllocCount.evaluate(Point);
+      Arcs.push_back({Kind::Registration, KNone, KNone, D, true,
+                      Memory.loc(D).AllocCount.evaluate(Point), {}});
+  return Arcs;
+}
+
+Rational paco::arcCost(const PricedArc &A, const CostModel &Costs) {
+  switch (A.K) {
+  case PricedArc::Kind::Compute:
+    return A.Count * (A.Server ? Costs.Ts : Costs.Tc);
+  case PricedArc::Kind::Schedule:
+    return A.Count * (A.Server ? Costs.Tcst : Costs.Tsct);
+  case PricedArc::Kind::Transfer:
+    return A.Count * (A.Server ? Costs.Tcsh + A.Bytes * Costs.Tcsu
+                               : Costs.Tsch + A.Bytes * Costs.Tscu);
+  case PricedArc::Kind::Registration:
+    return A.Count * Costs.Ta;
+  }
+  return Rational();
+}
+
+PriceCoefficients paco::priceCoefficients(const TCFG &Graph,
+                                          const MemoryModel &Memory,
+                                          const PartitionProblem &Problem,
+                                          const ParametricResult &Partition,
+                                          unsigned Choice,
+                                          const std::vector<Rational> &Point) {
+  enum { Tc, Ts, Tcst, Tsct, Tcsh, Tcsu, Tsch, Tscu, Ta };
+  PriceCoefficients C;
+  for (const PricedArc &A :
+       pricedArcs(Graph, Memory, Problem, Partition, Choice, Point)) {
+    switch (A.K) {
+    case PricedArc::Kind::Compute:
+      C[A.Server ? Ts : Tc] += A.Count;
+      break;
+    case PricedArc::Kind::Schedule:
+      C[A.Server ? Tcst : Tsct] += A.Count;
+      break;
+    case PricedArc::Kind::Transfer:
+      C[A.Server ? Tcsh : Tsch] += A.Count;
+      C[A.Server ? Tcsu : Tscu] += A.Count * A.Bytes;
+      break;
+    case PricedArc::Kind::Registration:
+      C[Ta] += A.Count;
+      break;
+    }
+  }
   return C;
 }
 

@@ -56,12 +56,18 @@ obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &Rec,
     LastEnd = std::max(LastEnd, S.End);
   for (const MessageRecord &M : Rec.messages())
     LastEnd = std::max(LastEnd, M.End);
-  for (const AdaptMark &M : Rec.adaptations())
-    LastEnd = std::max(LastEnd, M.At);
-  for (const RecoveryMark &M : Rec.recoveries())
-    LastEnd = std::max(LastEnd, M.At);
-  if (Rec.segments().empty() && Rec.messages().empty() &&
-      Rec.adaptations().empty() && Rec.recoveries().empty())
+  // Re-dispatch and server-failure marks count (sim.adaptations,
+  // sim.recoveries); the other kinds are the event log's.
+  auto windowed = [](const RunMark &M) {
+    return M.K == RunMark::Kind::Redispatch || M.recovery();
+  };
+  bool AnyMark = false;
+  for (const RunMark &M : Rec.marks())
+    if (windowed(M)) {
+      LastEnd = std::max(LastEnd, M.At);
+      AnyMark = true;
+    }
+  if (Rec.segments().empty() && Rec.messages().empty() && !AnyMark)
     return Series;
 
   // A record starting exactly at LastEnd (zero-length mark at the end of
@@ -86,10 +92,11 @@ obs::TimeSeries paco::buildSimWindows(const RuntimeRecorder &Rec,
       ++W.LedgerSyncs;
     W.MessageUnits.record(unitsOf(M.Start, M.End));
   }
-  for (const AdaptMark &M : Rec.adaptations())
-    ++Accum[windowOf(M.At, Opts.WindowUnits)].Adaptations;
-  for (const RecoveryMark &M : Rec.recoveries())
-    ++Accum[windowOf(M.At, Opts.WindowUnits)].Recoveries;
+  for (const RunMark &M : Rec.marks())
+    if (windowed(M)) {
+      WindowAccum &W = Accum[windowOf(M.At, Opts.WindowUnits)];
+      ++(M.K == RunMark::Kind::Redispatch ? W.Adaptations : W.Recoveries);
+    }
 
   double Width = Opts.WindowUnits.toDouble();
   for (size_t I = 0; I != NumWindows; ++I) {

@@ -22,9 +22,6 @@ void Simulator::passInstants() {
       PendingCrash = true;
       PendingCrashAt = E.At;
       ++Counts.Crashes;
-      if (obs::Tracer::global().enabled())
-        obs::Tracer::global().instantEvent("sim.server_crash", "sim",
-                                           {{"at", E.At.toString()}});
     } else {
       if (!E.Restarts || T < E.RestartAt)
         break;
@@ -33,9 +30,6 @@ void Simulator::passInstants() {
       PendingRestartAt = E.RestartAt;
       ++Counts.Restarts;
       ++CrashIdx;
-      if (obs::Tracer::global().enabled())
-        obs::Tracer::global().instantEvent(
-            "sim.server_restart", "sim", {{"at", E.RestartAt.toString()}});
     }
   }
   passPhases(T);

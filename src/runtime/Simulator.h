@@ -20,7 +20,7 @@
 #define PACO_RUNTIME_SIMULATOR_H
 
 #include "cost/CostModel.h"
-#include "obs/Trace.h"
+#include "obs/Stats.h"
 #include "runtime/LinkModel.h"
 #include "runtime/Timeline.h"
 
@@ -87,9 +87,9 @@ struct RunCounters {
   Rational ProbeTime;            ///< Time spent probing.
   Rational LedgerTime;           ///< Time spent syncing the ledger.
 
-  /// The closed-loop re-dispatches, in order (the same payload the
-  /// timeline records).
-  using RedispatchEvent = AdaptMark;
+  /// The closed-loop re-dispatches, in order (the marks the timeline
+  /// records).
+  using RedispatchEvent = RunMark;
   std::vector<RedispatchEvent> Redispatches;
 };
 
@@ -369,10 +369,6 @@ private:
       ++Counts.Timeouts;
       Counts.FaultTime += Costs.Tto;
       advanceClock(Costs.Tto);
-      if (obs::Tracer::global().enabled())
-        obs::Tracer::global().instantEvent(
-            "sim.timeout", "sim",
-            {{"attempt", static_cast<uint64_t>(Attempt)}});
       if (Attempt == Retry.MaxRetries)
         return false;
       ++Counts.Retries;
@@ -382,11 +378,6 @@ private:
       static obs::Histogram &Waits =
           obs::StatsRegistry::global().histogram("sim.backoff_wait_units");
       Waits.record(saturatingCostUnits(Backoff));
-      if (obs::Tracer::global().enabled())
-        obs::Tracer::global().instantEvent(
-            "sim.backoff_wait", "sim",
-            {{"attempt", static_cast<uint64_t>(Attempt)},
-             {"wait_units", Backoff.toString()}});
     }
   }
 

@@ -13,32 +13,10 @@
 
 using namespace paco;
 
-void RuntimeRecorder::beginSegment(unsigned Task, bool OnServer,
-                                   Rational Now) {
-  if (SegmentOpen)
-    endSegment(Now, 0);
-  TaskSegment S;
-  S.Task = Task;
-  S.OnServer = OnServer;
-  S.Start = std::move(Now);
-  Segments.push_back(std::move(S));
-  SegmentOpen = true;
-}
-
-void RuntimeRecorder::endSegment(Rational Now, uint64_t Instrs) {
-  if (!SegmentOpen)
-    return;
-  Segments.back().End = std::move(Now);
-  Segments.back().Instrs = Instrs;
-  SegmentOpen = false;
-}
-
 void RuntimeRecorder::clear() {
   Segments.clear();
   Messages.clear();
-  Adaptations.clear();
-  Recoveries.clear();
-  SegmentOpen = false;
+  Marks.clear();
 }
 
 Rational RuntimeRecorder::clientUnits() const {
@@ -124,20 +102,22 @@ std::string choiceName(unsigned Choice) {
                        : "choice " + std::to_string(Choice);
 }
 
-const char *recoveryName(RecoveryMark::Kind K) {
+/// The timeline name of a server-failure mark; null for the other kinds.
+const char *recoveryName(RunMark::Kind K) {
   switch (K) {
-  case RecoveryMark::Kind::Crash:
+  case RunMark::Kind::Crash:
     return "server-crash";
-  case RecoveryMark::Kind::Restart:
+  case RunMark::Kind::Restart:
     return "server-restart";
-  case RecoveryMark::Kind::Fallback:
+  case RunMark::Kind::Fallback:
     return "crash-fallback";
-  case RecoveryMark::Kind::Reoffload:
+  case RunMark::Kind::Reoffload:
     return "re-offload";
-  case RecoveryMark::Kind::Exhausted:
+  case RunMark::Kind::Exhausted:
     return "probe-budget-exhausted";
+  default:
+    return nullptr;
   }
-  return "?";
 }
 
 struct Row {
@@ -163,8 +143,13 @@ std::string RuntimeRecorder::renderTimeline(
     Rows.push_back(std::move(R));
   }
   // Marks precede messages so a re-dispatch row sorts ahead of the
-  // reconciliation messages it triggered at the same instant.
-  for (const AdaptMark &A : Adaptations) {
+  // reconciliation messages it triggered at the same instant; re-dispatch
+  // rows precede server-failure rows.
+  size_t Redispatches = 0, Recoveries = 0;
+  for (const RunMark &A : Marks) {
+    if (A.K != RunMark::Kind::Redispatch)
+      continue;
+    ++Redispatches;
     Row R;
     R.Start = A.At;
     R.End = A.At;
@@ -176,15 +161,19 @@ std::string RuntimeRecorder::renderTimeline(
              ")";
     Rows.push_back(std::move(R));
   }
-  for (const RecoveryMark &M : Recoveries) {
+  for (const RunMark &M : Marks) {
+    const char *Name = recoveryName(M.K);
+    if (!Name)
+      continue;
+    ++Recoveries;
     Row R;
     R.Start = M.At;
     R.End = M.At;
     R.Lane = 2;
-    R.Text = recoveryName(M.K);
+    R.Text = Name;
     if (M.AtTask != ~0u)
       R.Text += " at " + labelOf(TaskLabels, M.AtTask, "task");
-    if (M.K == RecoveryMark::Kind::Fallback)
+    if (M.K == RunMark::Kind::Fallback)
       R.Text += " [" + std::to_string(M.Restored) +
                 " item(s) restored from ledger]";
     Rows.push_back(std::move(R));
@@ -233,10 +222,10 @@ std::string RuntimeRecorder::renderTimeline(
          pct(Server) + "%), channel " + units(Channel) + " (" +
          pct(Channel) + "%); " + std::to_string(Segments.size()) +
          " segment(s), " + std::to_string(Messages.size()) + " message(s)";
-  if (!Adaptations.empty())
-    Out += ", " + std::to_string(Adaptations.size()) + " redispatch(es)";
-  if (!Recoveries.empty())
-    Out += ", " + std::to_string(Recoveries.size()) + " recovery event(s)";
+  if (Redispatches)
+    Out += ", " + std::to_string(Redispatches) + " redispatch(es)";
+  if (Recoveries)
+    Out += ", " + std::to_string(Recoveries) + " recovery event(s)";
   Out += "\n";
   return Out;
 }
@@ -296,7 +285,9 @@ void RuntimeRecorder::emitChromeLanes(
     T.laneEvent(Name, "simtime", TracePid, ChannelTid, Start, Dur,
                 std::move(Args));
   }
-  for (const AdaptMark &A : Adaptations) {
+  for (const RunMark &A : Marks) {
+    if (A.K != RunMark::Kind::Redispatch)
+      continue;
     T.laneEvent("redispatch", "simtime", TracePid, ChannelTid,
                 A.At.toDouble(), 0.0,
                 {{"at_task", labelOf(TaskLabels, A.AtTask, "task")},
@@ -305,12 +296,15 @@ void RuntimeRecorder::emitChromeLanes(
                  {"predicted_stay", A.PredictedStay.toString()},
                  {"predicted_switch", A.PredictedSwitch.toString()}});
   }
-  for (const RecoveryMark &M : Recoveries) {
+  for (const RunMark &M : Marks) {
+    const char *Name = recoveryName(M.K);
+    if (!Name)
+      continue;
     std::vector<obs::TraceArg> Args = {
         {"at_task", labelOf(TaskLabels, M.AtTask, "task")}};
-    if (M.K == RecoveryMark::Kind::Fallback)
+    if (M.K == RunMark::Kind::Fallback)
       Args.emplace_back("restored", M.Restored);
-    T.laneEvent(recoveryName(M.K), "simtime", TracePid, ChannelTid,
-                M.At.toDouble(), 0.0, std::move(Args));
+    T.laneEvent(Name, "simtime", TracePid, ChannelTid, M.At.toDouble(), 0.0,
+                std::move(Args));
   }
 }

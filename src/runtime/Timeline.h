@@ -6,17 +6,21 @@
 ///
 /// \file
 /// Records what one simulated run did and when, on the *simulated* clock
-/// (exact Rational cost units, not wall time). The interpreter attaches a
-/// RuntimeRecorder through ExecOptions and reports every task-execution
-/// segment and every runtime message (scheduling, data transfer,
-/// registration) with its start/end simulated time. Segments are split at
-/// every message, so the recorded spans partition the run exactly: the sum
-/// of all span durations equals the run's elapsed time, which the test
-/// suite checks and the cost audit relies on.
+/// (exact Rational cost units, not wall time): the run's one event
+/// record. The interpreter attaches a RuntimeRecorder through ExecOptions
+/// and reports every task-execution segment and every runtime message
+/// (scheduling, data transfer, registration) with its start/end
+/// simulated time. Segments are split at every message, so the recorded
+/// spans partition the run exactly: the sum of all span durations equals
+/// the run's elapsed time, which the test suite checks and the cost audit
+/// relies on. Everything else the run does -- start and end, re-dispatch,
+/// crash, restart, fallback, re-offload, probe exhaustion, ledger
+/// eviction and refetch -- is a mark, kept in emission order.
 ///
 /// The recorder renders two views: Chrome-trace lanes (a dedicated pid
 /// with client / server / channel threads, one microsecond per cost unit)
-/// and a deterministic text Gantt whose bytes depend only on the run.
+/// and a deterministic text Gantt whose bytes depend only on the run. The
+/// structured event log renders from it too (interp/RunLog.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,64 +65,81 @@ struct MessageRecord {
   Rational Start, End;
 };
 
-/// One closed-loop re-dispatch: at a task boundary the adaptation layer
-/// switched the run to a different partitioning choice, with the
-/// repriced (profiled-model) costs that justified it.
-struct AdaptMark {
-  Rational At;               ///< Simulated time of the switch.
-  unsigned AtTask = ~0u;     ///< The boundary task.
-  unsigned FromChoice = ~0u; ///< ~0u renders as the all-client "local".
-  unsigned ToChoice = ~0u;
-  Rational PredictedStay;   ///< Keeping FromChoice, under the profile.
-  Rational PredictedSwitch; ///< Running ToChoice, under the profile.
-};
-
-/// One server-failure lifecycle event: a scheduled crash or restart, the
-/// rollback-and-fallback it forced, or the end state of the recovery
-/// probing that followed (rendered as zero-length channel events; the
-/// probes themselves are MessageRecords).
-struct RecoveryMark {
+/// One run event that is neither a segment nor a message, stamped with
+/// the simulated time and the task active when the run emitted it. The
+/// recorder keeps marks in emission order; the text Gantt, the Chrome
+/// lanes and the sim windows show the re-dispatch and server-failure
+/// kinds, and the event log renders every kind.
+struct RunMark {
   enum class Kind {
-    Crash,     ///< The server process died; server-resident data lost.
-    Restart,   ///< A blank server process came back.
-    Fallback,  ///< Rolled back to the checkpoint, resumed on the client.
-    Reoffload, ///< A probe priced the remote cut back in; re-dispatched.
-    Exhausted, ///< Probe budget spent; the degrade became permanent.
+    RunStart,      ///< The run began (on ExecResult::ChoiceUsed).
+    Redispatch,    ///< The closed loop switched to another choice.
+    Crash,         ///< The server process died; server-resident data lost.
+    Restart,       ///< A blank server process came back.
+    Fallback,      ///< Rolled back to the checkpoint, resumed on the client.
+    Reoffload,     ///< A probe priced the remote cut back in; re-dispatched.
+    Exhausted,     ///< Probe budget spent; the degrade became permanent.
+    LedgerEvict,   ///< A recovery-ledger pin was evicted under the budget.
+    LedgerRefetch, ///< An evicted pin was fetched again.
+    RunEnd,        ///< The run finished, successfully or not.
   };
   Kind K = Kind::Crash;
   Rational At;           ///< Simulated time of the event.
   unsigned AtTask = ~0u; ///< Task active when the run observed it.
-  uint64_t Restored = 0; ///< Fallback: data items restored from the ledger.
+  /// Messages recorded before the mark, which places it among them (set
+  /// by the recorder).
+  size_t AfterMessages = 0;
+  /// Redispatch: the switch, with the repriced (profiled-model) costs
+  /// that justified it; ~0u renders as the all-client "local".
+  /// Reoffload: ToChoice is the choice the run returned to.
+  unsigned FromChoice = ~0u;
+  unsigned ToChoice = ~0u;
+  Rational PredictedStay;   ///< Keeping FromChoice, under the profile.
+  Rational PredictedSwitch; ///< Running ToChoice, under the profile.
+  uint64_t Restored = 0;  ///< Fallback: data items restored from the ledger.
+  bool Permanent = false; ///< Fallback: no probing can lift it.
+  uint64_t Probes = 0;    ///< Exhausted: probes sent.
+  /// LedgerEvict / LedgerRefetch: the pinned region, its data item and
+  /// the pin's size; PinnedBytes is the ledger's size after an eviction.
+  unsigned Region = ~0u;
+  unsigned LocId = ~0u;
+  uint64_t Bytes = 0;
+  uint64_t PinnedBytes = 0;
+
+  /// A server-failure lifecycle mark (Crash through Exhausted).
+  bool recovery() const { return K >= Kind::Crash && K <= Kind::Exhausted; }
 };
 
 /// Collects the timeline of one simulated run. Not thread-safe: the
 /// interpreter is single-threaded and owns the recorder for the run.
 class RuntimeRecorder {
 public:
-  /// Opens a segment for \p Task on the given host. Any still-open
-  /// segment is closed first at \p Now with zero further instructions.
-  void beginSegment(unsigned Task, bool OnServer, Rational Now);
-
-  /// Closes the open segment (no-op when none is open).
-  void endSegment(Rational Now, uint64_t Instrs);
-
-  bool open() const { return SegmentOpen; }
+  void segment(TaskSegment S) { Segments.push_back(std::move(S)); }
 
   void message(MessageRecord M) { Messages.push_back(std::move(M)); }
 
-  /// Records one re-dispatch (rendered as a zero-length channel event).
-  void adapt(AdaptMark M) { Adaptations.push_back(std::move(M)); }
+  /// Records \p M after the messages recorded so far.
+  RunMark &mark(RunMark M) {
+    M.AfterMessages = Messages.size();
+    return Marks.emplace_back(std::move(M));
+  }
 
-  /// Records one server-failure lifecycle event.
-  void recovery(RecoveryMark M) { Recoveries.push_back(std::move(M)); }
+  /// Records a mark of kind \p K; the caller fills in the fields its kind
+  /// uses.
+  RunMark &mark(RunMark::Kind K, Rational At, unsigned AtTask) {
+    RunMark M;
+    M.K = K;
+    M.At = std::move(At);
+    M.AtTask = AtTask;
+    return mark(std::move(M));
+  }
 
   /// Drops all recorded state, ready for a fresh run.
   void clear();
 
   const std::vector<TaskSegment> &segments() const { return Segments; }
   const std::vector<MessageRecord> &messages() const { return Messages; }
-  const std::vector<AdaptMark> &adaptations() const { return Adaptations; }
-  const std::vector<RecoveryMark> &recoveries() const { return Recoveries; }
+  const std::vector<RunMark> &marks() const { return Marks; }
 
   /// Total simulated units per lane. client + server + channel equals the
   /// run's elapsed time (segments and messages partition the run).
@@ -146,9 +167,7 @@ public:
 private:
   std::vector<TaskSegment> Segments;
   std::vector<MessageRecord> Messages;
-  std::vector<AdaptMark> Adaptations;
-  std::vector<RecoveryMark> Recoveries;
-  bool SegmentOpen = false;
+  std::vector<RunMark> Marks;
 };
 
 } // namespace paco

@@ -6,9 +6,9 @@
 ///
 /// \file
 /// A small recursive-descent JSON parser for the telemetry tooling
-/// (`obs_diff`, `bench_aggregate`): the repo's own artifacts -- stats
-/// snapshots, BENCH_*.json, event logs -- are machine-written, so the
-/// parser favors exact error positions over streaming performance.
+/// (`obs_diff`): the repo's own artifacts -- stats snapshots,
+/// BENCH_*.json, event logs -- are machine-written, so the parser favors
+/// exact error positions over streaming performance.
 /// Objects preserve member order (the artifacts are rendered in
 /// registration order, and diff reports should follow it).
 ///

@@ -198,9 +198,13 @@ TEST(AdaptationTest, ClosedLoopBeatsStaticAndLocalUnderBandwidthCollapse) {
   EXPECT_LT(Loop.Time, LocalDrift.Time);
 
   // The timeline saw the same event the result reports.
-  ASSERT_EQ(Recorder.adaptations().size(), 1u);
-  EXPECT_EQ(Recorder.adaptations()[0].At, E.At);
-  EXPECT_EQ(Recorder.adaptations()[0].ToChoice, E.ToChoice);
+  std::vector<RunMark> Switches;
+  for (const RunMark &M : Recorder.marks())
+    if (M.K == RunMark::Kind::Redispatch)
+      Switches.push_back(M);
+  ASSERT_EQ(Switches.size(), 1u);
+  EXPECT_EQ(Switches[0].At, E.At);
+  EXPECT_EQ(Switches[0].ToChoice, E.ToChoice);
 
   // Same seed, same bytes: timeline render, audit JSON, every cost.
   std::vector<std::string> TaskLabels, DataLabels;
@@ -378,7 +382,7 @@ TEST(AdaptationTest, ExplorerDriftRunTracesAndAuditsTheRedispatch) {
   EXPECT_TRUE(Audit.Valid) << Audit.Note;
   ASSERT_FALSE(Audit.Counters.Redispatches.empty())
       << "audit recorded no re-dispatch";
-  const AdaptMark &First = Audit.Counters.Redispatches[0];
+  const RunMark &First = Audit.Counters.Redispatches[0];
   EXPECT_LT(First.PredictedSwitch, First.PredictedStay)
       << "the switch was not predicted to pay off";
 }

@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interp.h"
+#include "interp/RunLog.h"
 
 #include <gtest/gtest.h>
 
@@ -260,13 +260,13 @@ TEST(CheckpointTest, RegionIdsRestartFromTheCheckpointAfterARollback) {
   Base.LedgerBudgetBytes = 0;
 
   RuntimeRecorder CleanRec;
-  obs::EventLog CleanLog;
   ExecOptions Clean = Base;
   Clean.Recorder = &CleanRec;
-  Clean.Events = &CleanLog;
   ExecResult Ref = runProgram(*CP, Clean);
   ASSERT_TRUE(Ref.OK) << Ref.Error;
   ASSERT_NE(Ref.ChoiceUsed, KNone);
+  obs::EventLog CleanLog;
+  appendRunLog(CleanLog, *CP, Clean, Ref, CleanRec);
   std::map<uint64_t, uint64_t> Want = evictedStates(CleanLog);
   ASSERT_GE(Want.size(), 4u);
 
@@ -286,13 +286,15 @@ TEST(CheckpointTest, RegionIdsRestartFromTheCheckpointAfterARollback) {
     if (Indices.size() == 6)
       Lost = Indices[1];
   ASSERT_NE(Lost, ~0ull);
-  obs::EventLog Log;
+  RuntimeRecorder Rec;
   ExecOptions Faulted = Base;
   Faulted.Link.DisconnectAt = Lost;
   Faulted.Link.DisconnectLength = RetryPolicy().MaxRetries + 1;
-  Faulted.Events = &Log;
+  Faulted.Recorder = &Rec;
   ExecResult R = runProgram(*CP, Faulted);
   ASSERT_TRUE(R.OK) << R.Error;
+  obs::EventLog Log;
+  appendRunLog(Log, *CP, Faulted, R, Rec);
   EXPECT_EQ(R.Outputs, allClientOutputs(*CP, Base));
   EXPECT_EQ(R.Fallbacks, 1u);
   ASSERT_GE(R.Reoffloads, 1u);

@@ -241,11 +241,11 @@ TEST(RecoveryTest, CrashRestartRecoversProbesAndReoffloads) {
   // The timeline saw the same lifecycle the result reports.
   bool SawCrash = false, SawRestart = false, SawFallback = false,
        SawReoffload = false;
-  for (const RecoveryMark &M : Recorder.recoveries()) {
-    SawCrash |= M.K == RecoveryMark::Kind::Crash;
-    SawRestart |= M.K == RecoveryMark::Kind::Restart;
-    SawFallback |= M.K == RecoveryMark::Kind::Fallback;
-    SawReoffload |= M.K == RecoveryMark::Kind::Reoffload;
+  for (const RunMark &M : Recorder.marks()) {
+    SawCrash |= M.K == RunMark::Kind::Crash;
+    SawRestart |= M.K == RunMark::Kind::Restart;
+    SawFallback |= M.K == RunMark::Kind::Fallback;
+    SawReoffload |= M.K == RunMark::Kind::Reoffload;
   }
   EXPECT_TRUE(SawCrash);
   EXPECT_TRUE(SawRestart);
@@ -318,8 +318,8 @@ TEST(RecoveryTest, PermanentCrashExhaustsProbesAndDegrades) {
   EXPECT_EQ(Loop.FinalChoice, KNone);
 
   bool SawExhausted = false;
-  for (const RecoveryMark &M : Recorder.recoveries())
-    SawExhausted |= M.K == RecoveryMark::Kind::Exhausted;
+  for (const RunMark &M : Recorder.marks())
+    SawExhausted |= M.K == RunMark::Kind::Exhausted;
   EXPECT_TRUE(SawExhausted);
   EXPECT_NE(timelineOf(*CP, Recorder).find("probe-budget-exhausted"),
             std::string::npos);

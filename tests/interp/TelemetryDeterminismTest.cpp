@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "interp/Interp.h"
+#include "interp/RunLog.h"
 #include "runtime/SimTelemetry.h"
 
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ std::shared_ptr<CompiledProgram> compileWithThreads(unsigned Threads) {
   return CP;
 }
 
-ExecOptions scenarioOpts(RuntimeRecorder *Rec, obs::EventLog *Ev) {
+ExecOptions scenarioOpts(RuntimeRecorder *Rec) {
   ExecOptions Opts;
   Opts.Mode = ExecOptions::Placement::Dispatch;
   Opts.ParamValues = kParams;
@@ -93,7 +93,6 @@ ExecOptions scenarioOpts(RuntimeRecorder *Rec, obs::EventLog *Ev) {
   Opts.Adapt.MinDwellBoundaries = 4;
   Opts.Adapt.ProbePeriodBoundaries = 1;
   Opts.Recorder = Rec;
-  Opts.Events = Ev;
   return Opts;
 }
 
@@ -101,9 +100,11 @@ ExecOptions scenarioOpts(RuntimeRecorder *Rec, obs::EventLog *Ev) {
 /// window JSONL (the byte-compared artifact).
 std::string replay(const CompiledProgram &CP) {
   RuntimeRecorder Rec;
-  obs::EventLog Log("scenario");
-  ExecResult R = runProgram(CP, scenarioOpts(&Rec, &Log));
+  ExecOptions Opts = scenarioOpts(&Rec);
+  ExecResult R = runProgram(CP, Opts);
   EXPECT_TRUE(R.OK) << R.Error;
+  obs::EventLog Log("scenario");
+  appendRunLog(Log, CP, Opts, R, Rec);
 
   SimWindowOptions WinOpts;
   WinOpts.WindowUnits = Rational(16384);

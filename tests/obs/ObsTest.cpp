@@ -363,13 +363,13 @@ TEST(TracerTest, DisabledTracerRecordsNothing) {
   Tracer &T = Tracer::global();
   T.disable();
   T.clear();
-  T.instantEvent("never", "test");
   T.completeEvent("never", "test", 0, 1);
+  T.laneEvent("never", "test", 2, 1, 0, 1);
   EXPECT_EQ(T.eventCount(), 0u);
   EXPECT_TRUE(isValidJSON(T.toJSON()));
 }
 
-TEST(TracerTest, RecordsSpansAndInstantsAsValidJSON) {
+TEST(TracerTest, RecordsSpansAndEventsAsValidJSON) {
   Tracer &T = Tracer::global();
   T.enable();
   T.clear();
@@ -377,8 +377,8 @@ TEST(TracerTest, RecordsSpansAndInstantsAsValidJSON) {
     ScopedSpan Span("test.span", "test");
     Span.arg("items", 42u);
     Span.arg("label", "hello \"world\"");
-    T.instantEvent("test.instant", "test",
-                   {{"bytes", static_cast<uint64_t>(1024)}});
+    T.completeEvent("test.event", "test", T.nowUs(), 0,
+                    {{"bytes", static_cast<uint64_t>(1024)}});
   }
   T.disable();
   EXPECT_EQ(T.eventCount(), 2u);
@@ -386,10 +386,10 @@ TEST(TracerTest, RecordsSpansAndInstantsAsValidJSON) {
   EXPECT_TRUE(isValidJSON(JSON)) << JSON;
   EXPECT_NE(JSON.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(JSON.find("\"test.span\""), std::string::npos);
-  EXPECT_NE(JSON.find("\"test.instant\""), std::string::npos);
+  EXPECT_NE(JSON.find("\"test.event\""), std::string::npos);
   EXPECT_NE(JSON.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(JSON.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(JSON.find("\"items\": 42"), std::string::npos);
+  EXPECT_NE(JSON.find("\"bytes\": 1024"), std::string::npos);
   T.clear();
 }
 
@@ -403,7 +403,7 @@ TEST(TracerTest, ConcurrentEventsAllRecorded) {
   for (unsigned I = 0; I != NumThreads; ++I)
     Threads.emplace_back([&T] {
       for (unsigned E = 0; E != PerThread; ++E)
-        T.instantEvent("mt.event", "test");
+        T.completeEvent("mt.event", "test", T.nowUs(), 0);
     });
   for (std::thread &Th : Threads)
     Th.join();

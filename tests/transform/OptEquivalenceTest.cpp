@@ -179,13 +179,19 @@ TEST(OptEquivalenceTest, OtherProgramsKeepExactness) {
 }
 
 TEST(OptEquivalenceTest, DisabledPipelineReportsUntouchedSizes) {
-  auto Off = compileBench("rawcaudio", false);
-  ASSERT_TRUE(Off);
-  EXPECT_EQ(Off->OptStats.InstrsBefore, Off->OptStats.InstrsAfter);
-  EXPECT_EQ(Off->OptStats.CostTermsBefore, Off->OptStats.CostTermsAfter);
-  EXPECT_EQ(Off->OptStats.FixpointIterations, 0u);
-  auto On = compileBench("rawcaudio", true);
-  ASSERT_TRUE(On);
-  EXPECT_LE(On->OptStats.InstrsAfter, On->OptStats.InstrsBefore);
-  EXPECT_GT(On->OptStats.FixpointIterations, 0u);
+  for (const Case &C : testCases()) {
+    auto Off = compileBench(C.Name, false);
+    ASSERT_TRUE(Off) << C.Name;
+    EXPECT_EQ(Off->OptStats.InstrsBefore, Off->OptStats.InstrsAfter)
+        << C.Name;
+    EXPECT_EQ(Off->OptStats.CostTermsBefore, Off->OptStats.CostTermsAfter)
+        << C.Name;
+    EXPECT_EQ(Off->OptStats.FixpointIterations, 0u) << C.Name;
+    EXPECT_GE(Off->Partition.Choices.size(), 1u) << C.Name;
+    auto On = compileBench(C.Name, true);
+    ASSERT_TRUE(On) << C.Name;
+    EXPECT_LE(On->OptStats.InstrsAfter, On->OptStats.InstrsBefore) << C.Name;
+    EXPECT_GT(On->OptStats.FixpointIterations, 0u) << C.Name;
+    EXPECT_GE(On->Partition.Choices.size(), 1u) << C.Name;
+  }
 }

@@ -4,10 +4,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Diffs two machine-written JSON artifacts -- stats snapshots,
-// BENCH_*.json files, BENCH_summary.json aggregates -- by flattening both
-// to dotted-path -> number maps and comparing each shared path's value
-// against a relative-error threshold. Silent with exit 0 when everything
+// Diffs two machine-written JSON artifacts -- stats snapshots or
+// BENCH_*.json files -- by flattening both to dotted-path -> number maps
+// and comparing each shared path's value against a relative-error
+// threshold. Silent with exit 0 when everything
 // is within tolerance; prints one line per out-of-tolerance path and
 // exits 1 otherwise, which makes it usable directly as a CI gate:
 //
@@ -24,7 +24,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "FlattenJSON.h"
 #include "support/JSON.h"
 
 #include <algorithm>
@@ -49,6 +48,48 @@ struct Options {
   bool All = false;
   std::string PathA, PathB;
 };
+
+/// The label of array element \p Index in a flattened path: the value of
+/// an identifying string field (`name`, `program`, `scenario`,
+/// `distribution`) when the element is an object carrying one, so BENCH
+/// rows and stats snapshots produce stable, human-readable keys; the
+/// index otherwise.
+std::string elementLabel(const json::Value &V, size_t Index) {
+  if (V.isObject())
+    for (const char *Field : {"name", "program", "scenario", "distribution"}) {
+      const json::Value *Id = V.find(Field);
+      if (Id && Id->isString())
+        return Id->text();
+    }
+  return std::to_string(Index);
+}
+
+/// Flattens \p V into dotted-path -> number entries of \p Out: object
+/// members append their key, array elements their label. The last write
+/// wins on duplicate paths; non-numeric leaves are skipped.
+void flattenInto(const json::Value &V, const std::string &Path,
+                 std::map<std::string, double> &Out) {
+  switch (V.kind()) {
+  case json::Value::Kind::Number:
+    Out[Path] = V.number();
+    break;
+  case json::Value::Kind::Object:
+    for (const json::Member &M : V.object())
+      flattenInto(M.second, Path.empty() ? M.first : Path + "." + M.first,
+                  Out);
+    break;
+  case json::Value::Kind::Array: {
+    const json::Array &A = V.array();
+    for (size_t I = 0; I != A.size(); ++I) {
+      std::string Label = elementLabel(A[I], I);
+      flattenInto(A[I], Path.empty() ? Label : Path + "." + Label, Out);
+    }
+    break;
+  }
+  default: // null / bool / string leaves carry no comparable number
+    break;
+  }
+}
 
 bool parseArgs(int Argc, char **Argv, Options &Opts) {
   std::vector<std::string> Positional;
@@ -102,8 +143,7 @@ bool loadFlat(const std::string &Path, std::map<std::string, double> &Out) {
                  R.Error.c_str());
     return false;
   }
-  for (const tools::FlatEntry &E : tools::flatten(R.V))
-    Out[E.Path] = E.Value; // last write wins on duplicate paths
+  flattenInto(R.V, "", Out);
   return true;
 }
 
