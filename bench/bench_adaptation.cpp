@@ -130,7 +130,7 @@ ScenarioResult runScenario(const CompiledProgram &CP, const char *Name,
 
   ExecOptions Static = baseOpts(ExecOptions::Placement::Dispatch);
   Static.Drift = Drift;
-  Static.Adapt.Policy = AdaptationPolicy::Static;
+  Static.OnLinkFailure = FaultPolicy::RetryOnly;
   S.Static = mustRun(CP, Static, Name);
 
   ExecOptions Loop = baseOpts(ExecOptions::Placement::Dispatch);

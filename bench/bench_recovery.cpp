@@ -139,7 +139,7 @@ ScenarioResult runScenario(const CompiledProgram &CP, const char *Name,
   ExecOptions Static = baseOpts(ExecOptions::Placement::Dispatch);
   Static.Crash = Crash;
   Static.Drift = Drift;
-  Static.Adapt.Policy = AdaptationPolicy::Static;
+  Static.OnLinkFailure = FaultPolicy::RetryOnly;
   S.StaticFails = !runProgram(CP, Static).OK;
 
   ExecOptions React = baseOpts(ExecOptions::Placement::Dispatch);

@@ -120,34 +120,10 @@ bool parseList(const char *Flag, std::string_view Text,
   return true;
 }
 
-const char *adaptName(AdaptationPolicy Policy) {
-  switch (Policy) {
-  case AdaptationPolicy::Static:
-    return "static";
-  case AdaptationPolicy::ReactOnFailure:
-    return "react";
-  case AdaptationPolicy::ClosedLoop:
-    return "closed-loop";
-  }
-  return "?";
-}
-
 std::string choiceLabel(unsigned Choice) {
   // Matches the 1-based numbering the dispatch table prints.
   return Choice == KNone ? std::string("local")
                          : "choice " + std::to_string(Choice + 1);
-}
-
-const char *policyName(FaultPolicy Policy) {
-  switch (Policy) {
-  case FaultPolicy::FailFast:
-    return "fail-fast";
-  case FaultPolicy::RetryOnly:
-    return "retry-only";
-  case FaultPolicy::DegradeToLocal:
-    return "degrade";
-  }
-  return "?";
 }
 
 /// Verifies \p Path can be created for writing now, so a long analysis
@@ -355,6 +331,9 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   FaultSpec Link;
   FaultPolicy Policy = FaultPolicy::DegradeToLocal;
   AdaptationOptions Adapt;
+  // The --policy and --adapt spellings, echoed in the run header.
+  const char *PolicyArg = "degrade";
+  const char *AdaptArg = "react";
   DriftSchedule Drift;
   CrashSchedule Crash;
   uint64_t LedgerBudget = 1ull << 20;
@@ -366,9 +345,7 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
   ParametricOptions AnalysisOpts;
   PassOptions PassOpts;
   auto parseAdapt = [&](const char *Name) {
-    if (std::strcmp(Name, "static") == 0)
-      Adapt.Policy = AdaptationPolicy::Static;
-    else if (std::strcmp(Name, "react") == 0)
+    if (std::strcmp(Name, "static") == 0 || std::strcmp(Name, "react") == 0)
       Adapt.Policy = AdaptationPolicy::ReactOnFailure;
     else if (std::strcmp(Name, "closed-loop") == 0)
       Adapt.Policy = AdaptationPolicy::ClosedLoop;
@@ -379,6 +356,7 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
                    Name);
       return false;
     }
+    AdaptArg = Name;
     Run = true;
     return true;
   };
@@ -472,6 +450,7 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
         std::fprintf(stderr, "error: unknown policy %s\n", V);
         return 2;
       }
+      PolicyArg = V;
       Run = true;
     } else if (valued("--adapt")) {
       if (!parseAdapt(V))
@@ -542,6 +521,11 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
                          "degrade/rollback path; use --policy degrade)\n");
     return 2;
   }
+  // Static pins the dispatched choice: degrading to local is itself an
+  // adaptation, so a message that exhausts its retries fails the run.
+  if (std::strcmp(AdaptArg, "static") == 0 &&
+      Policy == FaultPolicy::DegradeToLocal)
+    Policy = FaultPolicy::RetryOnly;
   // Fail output paths now, before minutes of analysis, not after.
   if (!TracePath.empty() && !checkWritable(TracePath, "trace")) {
     TracePath.clear();
@@ -716,8 +700,8 @@ int runExplorer(int Argc, char **Argv, ObsOutputs &Obs) {
     }
   }
 
-  std::printf("\n== adaptive run (policy %s, adapt %s", policyName(Policy),
-              adaptName(Adapt.Policy));
+  std::printf("\n== adaptive run (policy %s, adapt %s", PolicyArg,
+              AdaptArg);
   if (Drift.active())
     std::printf(", %zu drift phase(s)", Drift.Phases.size());
   if (Crash.active())

@@ -254,19 +254,14 @@ void DispatchIndex::compileCostRows() {
     R.ExactConst = E.constantTerm();
     R.ConstD = R.ExactConst.toDouble();
     for (const auto &[Id, Coeff] : E.terms()) {
-      if (Id >= Space.size() || EffIdx[Id] < 0) {
-        HasFullCost = true;
-        break;
-      }
+      // A CostExpr is a cut value of the solved network, a sum of its
+      // finite capacities, and EffectiveDims holds every term of those.
+      assert(Id < Space.size() && EffIdx[Id] >= 0 &&
+             "cost term outside the effective dimensions");
       R.Terms.emplace_back(static_cast<uint32_t>(EffIdx[Id]),
                            Coeff.toDouble());
       R.ExactTerms.emplace_back(static_cast<uint32_t>(EffIdx[Id]), Coeff);
     }
-  }
-  if (HasFullCost) {
-    LowerTemplate.resize(Space.size());
-    for (unsigned Id = 0; Id != Space.size(); ++Id)
-      LowerTemplate[Id] = Rational(Space.lower(Id));
   }
 }
 
@@ -544,36 +539,8 @@ unsigned DispatchIndex::exactArgminEff(
   return Best;
 }
 
-unsigned DispatchIndex::fallbackPickFullExact(DispatchScratch &S) const {
-  const std::vector<Rational> *FP;
-  if (S.Full) {
-    FP = S.Full;
-  } else {
-    S.FullPoint = LowerTemplate;
-    for (size_t I = 0; I != S.NumVals; ++I)
-      S.FullPoint[I] = Rational(S.Vals[I]);
-    Space.extendPoint(S.FullPoint);
-    FP = &S.FullPoint;
-  }
-  unsigned Best = 0;
-  Rational BestCost = Partition.Choices[0].CostExpr.evaluate(*FP);
-  for (unsigned C = 1; C != Partition.Choices.size(); ++C) {
-    Rational Cost = Partition.Choices[C].CostExpr.evaluate(*FP);
-    if (Cost < BestCost) {
-      Best = C;
-      BestCost = Cost;
-    }
-  }
-  return Best;
-}
-
 unsigned DispatchIndex::fallbackPick(DispatchScratch &S,
                                      bool &UsedExact) const {
-  if (HasFullCost) {
-    ++S.ExactConfirms;
-    UsedExact = true;
-    return fallbackPickFullExact(S);
-  }
   unsigned N = static_cast<unsigned>(Partition.Choices.size());
   S.CostVal.resize(N);
   S.CostAbs.resize(N);
@@ -643,7 +610,6 @@ unsigned DispatchIndex::pick(const int64_t *Values, size_t NumValues,
   assert(NumValues == NumRuntime && "one value per declared parameter");
   (void)NumValues;
   S.Vals = Values;
-  S.NumVals = NumValues;
   S.Full = nullptr;
   S.EffQValid = false;
   S.EffD.resize(Dim);
@@ -684,7 +650,6 @@ unsigned DispatchIndex::pickFull(const std::vector<Rational> &FullPoint,
   assert(FullPoint.size() == Space.size() && "full-space point expected");
   S.Full = &FullPoint;
   S.Vals = nullptr;
-  S.NumVals = 0;
   S.EffQValid = false;
   S.AllInt = false;
   S.EffD.resize(Dim);

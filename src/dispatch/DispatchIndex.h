@@ -59,15 +59,12 @@ struct DispatchScratch {
   /// Exact effective point, materialized lazily on first confirmation.
   std::vector<Rational> EffQ;
   bool EffQValid = false;
-  /// Full-space point scratch for the (defensive) full-cost fallback.
-  std::vector<Rational> FullPoint;
   /// Fallback cost bounds scratch.
   std::vector<double> CostVal, CostAbs;
   std::vector<uint32_t> CandBuf;
 
   /// Query source: exactly one of Vals/Full is set per query.
   const int64_t *Vals = nullptr;
-  size_t NumVals = 0;
   const std::vector<Rational> *Full = nullptr;
 
   /// Shard statistics (monotonic; merged by DispatchService).
@@ -224,8 +221,6 @@ private:
   /// Exact argmin over \p Cands (ascending) in effective space.
   unsigned exactArgminEff(DispatchScratch &S,
                           const std::vector<uint32_t> &Cands) const;
-  /// pickChoice's original full-space LinExpr fallback (slow, defensive).
-  unsigned fallbackPickFullExact(DispatchScratch &S) const;
   unsigned run(DispatchScratch &S) const;
 
   const ParametricResult &Partition;
@@ -243,11 +238,6 @@ private:
   uint32_t Root = 0;
 
   std::vector<CostRow> CostRows;
-  /// Set when some cost term lies outside the effective dimensions; the
-  /// fallback then evaluates the original LinExprs on a full-space point.
-  bool HasFullCost = false;
-  /// Full-space template point (all lower bounds) for that slow path.
-  std::vector<Rational> LowerTemplate;
 
   /// Region vertex/ray geometry usable for exact classification (disabled
   /// for sampled/approximate results, whose regions may be expensive to

@@ -108,16 +108,6 @@ RetryPolicy effectiveRetry(const ExecOptions &Opts) {
   return Retry;
 }
 
-/// Static adaptation pins the dispatched choice: degrading to local is
-/// itself an adaptation, so under AdaptationPolicy::Static a message
-/// that exhausts its retries becomes a structured failure instead.
-FaultPolicy effectivePolicy(const ExecOptions &Opts) {
-  if (Opts.Adapt.Policy == AdaptationPolicy::Static &&
-      Opts.OnLinkFailure == FaultPolicy::DegradeToLocal)
-    return FaultPolicy::RetryOnly;
-  return Opts.OnLinkFailure;
-}
-
 class Machine {
 public:
   Machine(const CompiledProgram &CP, const ExecOptions &Opts,
@@ -125,7 +115,7 @@ public:
       : CP(CP), Opts(Opts), Energy(Energy),
         Sim(CP.Costs, Opts.Link, effectiveRetry(Opts), Opts.Drift,
             Opts.Crash),
-        Counts(Sim.counters()), EffPolicy(effectivePolicy(Opts)),
+        Counts(Sim.counters()),
         ClosedLoop(Opts.Adapt.Policy == AdaptationPolicy::ClosedLoop),
         EvalPeriod(std::max(1u, Opts.Adapt.EvalPeriod)),
         ProbePeriod(std::max(1u, Opts.Adapt.ProbePeriodBoundaries)),
@@ -219,24 +209,85 @@ private:
   // Task transitions and transfers
   //===--------------------------------------------------------------===//
 
-  bool taskOnServer(unsigned Task) const {
-    if (Choice == KNone || Degraded || LocalFallback)
-      return false;
-    return CP.Partition.Choices[Choice].TaskOnServer[Task];
+  /// The run self-schedules everything on the client: no cut is in
+  /// force, or the run fell back to the client after a link failure or a
+  /// server crash. No scheduling message, transfer or registration is
+  /// sent then, exactly like running under the all-client partitioning.
+  bool clientOnly() const {
+    return Choice == KNone || Degraded || LocalFallback;
   }
 
-  /// Data movements dictated by the validity states on edge (A, B).
-  struct Movement {
-    unsigned LocId;
-    bool ToServer;
-  };
-  const std::vector<Movement> &transferSet(unsigned A, unsigned B);
+  bool taskOnServer(unsigned Task) const {
+    return !clientOnly() && CP.Partition.Choices[Choice].TaskOnServer[Task];
+  }
+
+  /// Data movements the cut in force dictates on edge (A, B)
+  /// (edgeTransfers), cached per edge.
+  const std::vector<ItemTransfer> &transferSet(unsigned A, unsigned B);
 
   bool crossTask(unsigned NewTask);
+
+  /// Moves execution to the current task's host under the cut in force,
+  /// if it runs elsewhere: one charged scheduling message from task
+  /// \p FromTask. False on link failure; \p What names the message.
+  bool followTask(unsigned FromTask, const char *What) {
+    bool ToServer = taskOnServer(CurrentTask);
+    if (ToServer == OnServer)
+      return true;
+    if (!recMessage(MessageRecord::Kind::Schedule, ToServer, FromTask,
+                    CurrentTask, KNone, 0,
+                    [&] { return Sim.trySchedule(ToServer); }))
+      return linkLost(What);
+    OnServer = ToServer;
+    return true;
+  }
+
+  /// Sends loc \p D's live regions to the \p ToServer host as one charged
+  /// transfer of their bytes, from task \p FromTask to the current task,
+  /// then validates the destination copies. False on link failure; \p What
+  /// names the message.
+  bool sendLoc(unsigned D, bool ToServer, unsigned FromTask,
+               const char *What) {
+    const std::vector<unsigned> &Live = LiveOfLoc[D];
+    uint64_t Bytes = 0;
+    unsigned ElemBytes = elementBytes(CP.Memory->loc(D).ElemType);
+    for (unsigned RegionId : Live)
+      Bytes += Regions[RegionId].Client.size() * ElemBytes;
+    // Drive the message through the (possibly lossy) link first; the
+    // destination copies change only when the data actually arrives.
+    if (!recMessage(MessageRecord::Kind::Transfer, ToServer, FromTask,
+                    CurrentTask, D, Bytes,
+                    [&] { return Sim.tryTransfer(ToServer, Bytes); }))
+      return linkLost(What);
+    // The transfer's purpose is to validate the destination copy; the
+    // data always comes from the currently valid copy (the static
+    // certificate may schedule a transfer whose nominal source copy is
+    // stale -- nothing in the paper's constraint system forbids it -- in
+    // which case the destination is already up to date and only the
+    // cost is charged).
+    for (unsigned RegionId : Live)
+      validateCopy(RegionId, ToServer);
+    return true;
+  }
 
   /// Makes region \p Id's \p ToServer copy valid from the other one, if
   /// that one is valid (the data side of a transfer).
   void validateCopy(unsigned Id, bool ToServer);
+
+  /// The simulator's instruction total, the one count the instruction
+  /// loop updates; per-task and per-segment counts are its differences.
+  uint64_t instrsSoFar() const {
+    return Counts.ClientInstrs + Counts.ServerInstrs;
+  }
+
+  /// Charges the instructions executed since the previous flush to the
+  /// current task. Runs before CurrentTask changes and at the end of the
+  /// run.
+  void flushTaskInstrs() {
+    uint64_t Now = instrsSoFar();
+    TaskInstrCounts[CurrentTask] += Now - TaskInstrsFlushed;
+    TaskInstrsFlushed = Now;
+  }
 
   //===--------------------------------------------------------------===//
   // Timeline recording
@@ -247,7 +298,8 @@ private:
   // span durations sum exactly to the elapsed time. The machine tracks
   // the open segment once and hands each closed one to the recorder and,
   // in a closed-loop run, to the online profiler. All hooks are task/
-  // message-grained; the per-instruction path only bumps SegInstrs.
+  // message-grained: a segment's instruction count is the difference of
+  // the simulator's total between its ends.
   //===--------------------------------------------------------------===//
 
   /// Closes the open segment now with \p Instrs instructions and hands it
@@ -257,29 +309,25 @@ private:
     Rational Now = Sim.now();
     if (Prof)
       Prof->observeCompute(SegServer, Instrs, Now - SegStart);
-    if (Rec) {
+    if (Rec)
       Rec->segment({SegTask, SegServer, Instrs, std::move(SegStart),
                     std::move(Now)});
-      // Registry entries are never erased, so the by-name lookup (mutex
-      // + map walk) can be paid once per process, not per segment.
-      static obs::Histogram &SegHist =
-          obs::StatsRegistry::global().histogram("sim.task_segment_instrs");
-      SegHist.record(Instrs);
-    }
   }
 
   void recEndSegment() {
-    if (!SegOpen)
-      return;
-    closeSegment(SegInstrs);
-    SegInstrs = 0;
+    if (SegOpen)
+      closeSegment(instrsSoFar() - SegStartInstrs);
   }
 
   void recBeginSegment() {
     if (!Rec && !Prof)
       return;
+    // A still-open segment ends with zero instructions, and the next one
+    // keeps counting from its start.
     if (SegOpen)
-      closeSegment(0); // A still-open segment ends with zero instructions.
+      closeSegment(0);
+    else
+      SegStartInstrs = instrsSoFar();
     SegOpen = true;
     SegTask = CurrentTask;
     SegServer = OnServer;
@@ -452,6 +500,7 @@ private:
       if (Regions[Id].Live)
         LiveOfLoc[Regions[Id].LocId].push_back(Id);
     Stack = std::move(Ckpt.Stack);
+    flushTaskInstrs();
     CurrentTask = Ckpt.CurrentTask;
     CurFunc = Ckpt.CurFunc;
     CurBlock = Ckpt.CurBlock;
@@ -491,15 +540,7 @@ private:
       ++Restored;
     }
     Counts.LedgerRestores += Restored;
-    // Pins for regions the rewind destroyed are dead weight.
-    for (auto It = Ledger.begin(); It != Ledger.end();) {
-      if (It->first >= Regions.size() || !Regions[It->first].Live) {
-        PinnedBytes -= It->second.Bytes;
-        It = Ledger.erase(It);
-      } else {
-        ++It;
-      }
-    }
+    sweepDeadPins(); // Including regions the rewind destroyed.
     // Probing keeps the fallback temporary while budget remains; without
     // it (or without the closed loop) the degrade is permanent.
     if (ClosedLoop && Counts.Probes < Opts.Adapt.ProbeBudget) {
@@ -522,7 +563,7 @@ private:
   /// rollback (DegradeToLocal) or fails the run with a structured
   /// LinkFailure classification.
   bool linkLost(const char *What) {
-    if (EffPolicy == FaultPolicy::DegradeToLocal) {
+    if (Opts.OnLinkFailure == FaultPolicy::DegradeToLocal) {
       WantRollback = true;
       return false;
     }
@@ -580,9 +621,9 @@ private:
       Region.ServerValid = false;
     for (size_t I = 0; I != UndoLen; ++I)
       Undo[I].ServerValid = false;
-    if (Choice == KNone || Degraded || LocalFallback)
+    if (clientOnly())
       return true; // Already running entirely on the client.
-    if (EffPolicy != FaultPolicy::DegradeToLocal || !CheckpointsOn)
+    if (Opts.OnLinkFailure != FaultPolicy::DegradeToLocal || !CheckpointsOn)
       return fail("server crashed at t=" + At.toString() +
                       " and the policy has no recovery path",
                   ExecResult::FailureKind::ServerCrash);
@@ -613,6 +654,18 @@ private:
     std::vector<Value> Data;
   };
 
+  /// Drops the pins of regions that died: they are dead weight.
+  void sweepDeadPins() {
+    for (auto It = Ledger.begin(); It != Ledger.end();) {
+      if (It->first >= Regions.size() || !Regions[It->first].Live) {
+        PinnedBytes -= It->second.Bytes;
+        It = Ledger.erase(It);
+      } else {
+        ++It;
+      }
+    }
+  }
+
   /// Pre-checkpoint ledger sync: makes sure every live region whose
   /// authoritative copy is server-side has a version-matched pin,
   /// charging one s2c transfer per stale or missing pin. Fetched copies
@@ -624,15 +677,7 @@ private:
   /// re-checks before checkpointing).
   bool syncLedger() {
     PendingPins.clear();
-    // Sweep pins whose region died since the last boundary.
-    for (auto It = Ledger.begin(); It != Ledger.end();) {
-      if (It->first >= Regions.size() || !Regions[It->first].Live) {
-        PinnedBytes -= It->second.Bytes;
-        It = Ledger.erase(It);
-      } else {
-        ++It;
-      }
-    }
+    sweepDeadPins(); // Regions that died since the last boundary.
     // Live regions in ascending id order, so ledger messages keep the
     // order of the regions' allocation.
     LiveIds.clear();
@@ -774,23 +819,12 @@ private:
       return true; // Still down (or still crashed); keep running local.
     }
     // The server answered and the profiler just folded the probe's
-    // observed cost into its c2s scale. Reprice staying local against
-    // every computed cut under the live model; re-offload only when the
-    // best remote cut beats local by the switch margin (same hysteresis
-    // bar as the drift detector's).
-    CostModel Profiled = Prof->model();
-    Rational Stay = reprice(KNone, Profiled);
-    unsigned Best = KNone;
-    Rational BestCost = Stay;
-    for (unsigned C = 0; C != CP.Partition.Choices.size(); ++C) {
-      Rational Cost = reprice(C, Profiled);
-      if (Cost < BestCost) {
-        Best = C;
-        BestCost = Cost;
-      }
-    }
-    static const Rational One(1);
-    if (Best == KNone || !(BestCost <= Stay * (One - kSwitchMargin)) ||
+    // observed cost into its c2s scale. Run the drift detector's search
+    // with the all-client incumbent: re-offload only when the best remote
+    // cut beats local by the switch margin.
+    Rational Stay, Go;
+    unsigned Best = cheapestSwitch(KNone, Stay, Go);
+    if (Best == KNone ||
         Counts.Redispatches.size() >= Opts.Adapt.MaxRedispatches) {
       recBeginSegment();
       return true; // Remote not (sufficiently) worth it yet.
@@ -801,7 +835,7 @@ private:
     Choice = KNone; // The incumbent really is all-client now.
     LocalFallback = false;
     takeCheckpoint();
-    if (!redispatch(Best, std::move(Stay), std::move(BestCost)))
+    if (!redispatch(Best, std::move(Stay), std::move(Go)))
       return false;
     ++Counts.Reoffloads;
     if (Rec)
@@ -837,6 +871,31 @@ private:
     return price(*K, Model);
   }
 
+  /// The closed loop's switch search: reprices every computed cut plus
+  /// the all-client run (the safe landing when the profiled point matches
+  /// no region) under the profiled model, and returns the cheapest when
+  /// it beats \p Incumbent (KNone = all-client) by kSwitchMargin, else
+  /// \p Incumbent. \p Stay and \p Go receive the
+  /// incumbent's price and the cheapest candidate's.
+  unsigned cheapestSwitch(unsigned Incumbent, Rational &Stay, Rational &Go) {
+    CostModel Profiled = Prof->model();
+    Stay = reprice(Incumbent, Profiled);
+    Go = Stay;
+    unsigned Best = Incumbent;
+    for (unsigned C = 0; C <= CP.Partition.Choices.size(); ++C) {
+      unsigned Cand = C == CP.Partition.Choices.size() ? KNone : C;
+      if (Cand == Incumbent)
+        continue;
+      Rational Cost = reprice(Cand, Profiled);
+      if (Cost < Go) {
+        Best = Cand;
+        Go = std::move(Cost);
+      }
+    }
+    static const Rational One(1);
+    return Go <= Stay * (One - kSwitchMargin) ? Best : Incumbent;
+  }
+
   /// The drift detector; runs right after a boundary checkpoint.
   /// Returns false when a reconciliation message was lost (the caller
   /// rolls back, exactly like any other link failure).
@@ -846,8 +905,7 @@ private:
   bool redispatch(unsigned NewChoice, Rational Stay, Rational Go);
 
   /// Makes the \p ToServer copy of loc \p D's live regions valid,
-  /// charging one transfer when anything is stale; false on link
-  /// failure.
+  /// sending them (sendLoc) when any is stale; false on link failure.
   bool migrateLoc(unsigned D, bool ToServer);
 
   //===--------------------------------------------------------------===//
@@ -901,7 +959,6 @@ private:
   EnergyModel Energy;
   Simulator Sim;
   RunCounters &Counts; ///< The simulator's record; recovery counts here.
-  FaultPolicy EffPolicy;
   bool ClosedLoop = false;
   unsigned EvalPeriod = 1;
   std::optional<OnlineProfiler> Prof; ///< Armed iff ClosedLoop.
@@ -949,9 +1006,10 @@ private:
   unsigned LastFallbackTask = KNone;
   uint64_t FallbackBoundaries = 0;
 
-  std::map<std::pair<unsigned, unsigned>, std::vector<Movement>>
+  std::map<std::pair<unsigned, unsigned>, std::vector<ItemTransfer>>
       MovementCache;
   std::vector<uint64_t> TaskInstrCounts;
+  uint64_t TaskInstrsFlushed = 0; ///< instrsSoFar() at the last flush.
 
   RuntimeRecorder *Rec = nullptr;
   // The open timeline segment (tracked while a recorder or the profiler
@@ -960,7 +1018,7 @@ private:
   unsigned SegTask = KNone;
   bool SegServer = false;
   Rational SegStart;
-  uint64_t SegInstrs = 0; ///< Instructions in the open segment.
+  uint64_t SegStartInstrs = 0; ///< instrsSoFar() when the segment opened.
 
   // Drift-detector state: boundary counters for the evaluation cadence
   // and dwell, and the challenger's confirmation streak.
@@ -971,76 +1029,31 @@ private:
   unsigned PendingStreak = 0;
 };
 
-const std::vector<Machine::Movement> &Machine::transferSet(unsigned A,
-                                                           unsigned B) {
+const std::vector<ItemTransfer> &Machine::transferSet(unsigned A,
+                                                      unsigned B) {
   auto Key = std::make_pair(A, B);
   auto It = MovementCache.find(Key);
   if (It != MovementCache.end())
     return It->second;
-  std::vector<Movement> Moves;
-  if (Choice != KNone) {
-    for (unsigned D : CP.Problem.DataItems) {
-      auto UIt = CP.Problem.VNodes.find({A, D});
-      auto VIt = CP.Problem.VNodes.find({B, D});
-      if (UIt == CP.Problem.VNodes.end() || VIt == CP.Problem.VNodes.end())
-        continue;
-      const ValidityNodes &U = UIt->second;
-      const ValidityNodes &V = VIt->second;
-      bool VsoU = CP.Partition.nodeValue(Choice, U.Vso);
-      bool VsiV = CP.Partition.nodeValue(Choice, V.Vsi);
-      bool VcoU = !CP.Partition.nodeValue(Choice, U.NVco);
-      bool VciV = !CP.Partition.nodeValue(Choice, V.NVci);
-      // Client-to-server: the item becomes server-valid on this edge.
-      if (!VsoU && VsiV)
-        Moves.push_back({D, /*ToServer=*/true});
-      // Server-to-client.
-      if (!VcoU && VciV)
-        Moves.push_back({D, /*ToServer=*/false});
-    }
-  }
-  return MovementCache.emplace(Key, std::move(Moves)).first->second;
+  return MovementCache
+      .emplace(Key, edgeTransfers(CP.Problem, CP.Partition, Choice, A, B))
+      .first->second;
 }
 
 bool Machine::crossTask(unsigned NewTask) {
   unsigned OldTask = CurrentTask;
+  flushTaskInstrs();
   CurrentTask = NewTask;
   recEndSegment();
-  // A degraded (or probing-fallback) run self-schedules everything on the
-  // client: no messages, no transfers, exactly like running under the
-  // all-client partitioning.
-  if (Choice == KNone || Degraded || LocalFallback) {
+  if (clientOnly()) {
     recBeginSegment();
     return true;
   }
-  bool NewServer = taskOnServer(NewTask);
-  if (NewServer != OnServer) {
-    if (!recMessage(MessageRecord::Kind::Schedule, NewServer, OldTask,
-                    NewTask, KNone, 0,
-                    [&] { return Sim.trySchedule(/*ToServer=*/NewServer); }))
-      return linkLost("task-scheduling message");
-    OnServer = NewServer;
-  }
-  for (const Movement &Move : transferSet(OldTask, NewTask)) {
-    uint64_t Bytes = 0;
-    unsigned ElemBytes = elementBytes(CP.Memory->loc(Move.LocId).ElemType);
-    const std::vector<unsigned> &Live = LiveOfLoc[Move.LocId];
-    for (unsigned RegionId : Live)
-      Bytes += Regions[RegionId].Client.size() * ElemBytes;
-    // Drive the message through the (possibly lossy) link first; the
-    // destination copies change only when the data actually arrives.
-    if (!recMessage(MessageRecord::Kind::Transfer, Move.ToServer, OldTask,
-                    NewTask, Move.LocId, Bytes,
-                    [&] { return Sim.tryTransfer(Move.ToServer, Bytes); }))
-      return linkLost("data transfer");
-    // The transfer's purpose is to validate the destination copy; the
-    // data always comes from the currently valid copy (the static
-    // certificate may schedule a transfer whose nominal source copy is
-    // stale -- nothing in the paper's constraint system forbids it -- in
-    // which case the destination is already up to date and only the
-    // cost is charged).
-    for (unsigned RegionId : Live)
-      validateCopy(RegionId, Move.ToServer);
-  }
+  if (!followTask(OldTask, "task-scheduling message"))
+    return false;
+  for (const ItemTransfer &Move : transferSet(OldTask, NewTask))
+    if (!sendLoc(Move.Item, Move.ToServer, OldTask, "data transfer"))
+      return false;
   recBeginSegment();
   return true;
 }
@@ -1072,29 +1085,12 @@ bool Machine::maybeAdapt() {
   if (Counts.Redispatches.size() >= Opts.Adapt.MaxRedispatches)
     return true;
 
-  CostModel Profiled = Prof->model();
-  Rational Stay = reprice(Choice, Profiled);
-  // Candidates: every computed cut plus the all-client fallback -- the
-  // safe landing when the profiled point matches no region at all.
-  unsigned Best = Choice;
-  Rational BestCost = Stay;
-  for (unsigned C = 0; C <= CP.Partition.Choices.size(); ++C) {
-    unsigned Cand = C == CP.Partition.Choices.size() ? KNone : C;
-    if (Cand == Choice)
-      continue;
-    Rational Cost = reprice(Cand, Profiled);
-    if (Cost < BestCost) {
-      Best = Cand;
-      BestCost = Cost;
-    }
-  }
-
   // Hysteresis: the challenger must beat the incumbent by the margin,
   // keep winning for kConfirmEvals consecutive evaluations, and the run
   // must have dwelt on the incumbent long enough.
-  static const Rational One(1);
-  if (Best == Choice ||
-      !(BestCost <= Stay * (One - kSwitchMargin))) {
+  Rational Stay, Go;
+  unsigned Best = cheapestSwitch(Choice, Stay, Go);
+  if (Best == Choice) {
     HavePending = false;
     PendingStreak = 0;
     return true;
@@ -1109,31 +1105,17 @@ bool Machine::maybeAdapt() {
   if (PendingStreak < kConfirmEvals ||
       BoundariesSinceSwitch < Opts.Adapt.MinDwellBoundaries)
     return true;
-  return redispatch(Best, std::move(Stay), std::move(BestCost));
+  return redispatch(Best, std::move(Stay), std::move(Go));
 }
 
 bool Machine::migrateLoc(unsigned D, bool ToServer) {
   const std::vector<unsigned> &Live = LiveOfLoc[D];
-  if (Live.empty())
-    return true;
-  bool Stale = false;
-  uint64_t Bytes = 0;
-  unsigned ElemBytes = elementBytes(CP.Memory->loc(D).ElemType);
-  for (unsigned RegionId : Live) {
-    const MemRegion &Region = Regions[RegionId];
-    Stale = Stale || !(ToServer ? Region.ServerValid : Region.ClientValid);
-    Bytes += Region.Client.size() * ElemBytes;
-  }
-  if (!Stale)
-    return true;
-  if (!recMessage(MessageRecord::Kind::Transfer, ToServer, CurrentTask,
-                  CurrentTask, D, Bytes,
-                  [&] { return Sim.tryTransfer(ToServer, Bytes); }))
-    return linkLost("re-dispatch data transfer");
-  // Like crossTask: the valid copy is the source.
-  for (unsigned RegionId : Live)
-    validateCopy(RegionId, ToServer);
-  return true;
+  bool Stale = std::any_of(Live.begin(), Live.end(), [&](unsigned Id) {
+    return !(ToServer ? Regions[Id].ServerValid : Regions[Id].ClientValid);
+  });
+  // Nothing live, or every copy valid already: nothing to send.
+  return !Stale ||
+         sendLoc(D, ToServer, CurrentTask, "re-dispatch data transfer");
 }
 
 bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
@@ -1157,14 +1139,8 @@ bool Machine::redispatch(unsigned NewChoice, Rational Stay, Rational Go) {
   // new certificate claims valid at this task actually valid. A lost
   // message lands in the ordinary rollback path against the checkpoint
   // just taken.
-  bool NewServer = taskOnServer(CurrentTask);
-  if (NewServer != OnServer) {
-    if (!recMessage(MessageRecord::Kind::Schedule, NewServer, CurrentTask,
-                    CurrentTask, KNone, 0,
-                    [&] { return Sim.trySchedule(NewServer); }))
-      return linkLost("re-dispatch scheduling message");
-    OnServer = NewServer;
-  }
+  if (!followTask(CurrentTask, "re-dispatch scheduling message"))
+    return false;
   if (Choice == KNone) {
     // All-client from here on: every live region must be client-valid.
     for (unsigned D = 0; D != LiveOfLoc.size(); ++D)
@@ -1411,21 +1387,16 @@ bool Machine::execInstr(const Instr &I) {
                                 CP.Memory->loc(LocId).ElemType);
     // Registration overhead when the static analysis decides the data is
     // accessed by both hosts (paper section 2.3).
-    auto It = CP.Problem.AccessNodes.find(LocId);
-    if (Choice != KNone && !Degraded && !LocalFallback &&
-        It != CP.Problem.AccessNodes.end()) {
-      bool Ns = CP.Partition.nodeValue(Choice, It->second.first);
-      bool Nc = !CP.Partition.nodeValue(Choice, It->second.second);
-      if (Ns && Nc) {
-        // Registration strikes mid-segment, so the timeline splits the
-        // segment around the message.
-        recEndSegment();
-        if (!recMessage(MessageRecord::Kind::Registration, true, CurrentTask,
-                        CurrentTask, LocId, 0,
-                        [&] { return Sim.tryRegistration(); }))
-          return linkLost("registration");
-        recBeginSegment();
-      }
+    if (!clientOnly() &&
+        registersItem(CP.Problem, CP.Partition, Choice, LocId)) {
+      // Registration strikes mid-segment, so the timeline splits the
+      // segment around the message.
+      recEndSegment();
+      if (!recMessage(MessageRecord::Kind::Registration, true, CurrentTask,
+                      CurrentTask, LocId, 0,
+                      [&] { return Sim.tryRegistration(); }))
+        return linkLost("registration");
+      recBeginSegment();
     }
     return writeLocal(I.Dst, Value::ofPointer(I.Ty, Region, 0));
   }
@@ -1615,13 +1586,14 @@ ExecResult Machine::run() {
     DriftCanFail = DriftCanFail || P.Down;
   CheckpointsOn =
       Choice != KNone &&
-      ((EffPolicy == FaultPolicy::DegradeToLocal &&
+      ((Opts.OnLinkFailure == FaultPolicy::DegradeToLocal &&
         (!Opts.Link.faultFree() || DriftCanFail || CrashArmed)) ||
        ClosedLoop);
   // The recovery ledger runs only when a crash can actually destroy
   // server-held data *and* the policy will roll back instead of failing.
   LedgerOn = CrashArmed && Choice != KNone &&
-             EffPolicy == FaultPolicy::DegradeToLocal && CheckpointsOn;
+             Opts.OnLinkFailure == FaultPolicy::DegradeToLocal &&
+             CheckpointsOn;
   if (CheckpointsOn) {
     unsigned SavedTask = CurrentTask;
     CurrentTask = CP.Graph.taskOfBlock(CP.Module->MainIndex, 0);
@@ -1681,19 +1653,17 @@ ExecResult Machine::run() {
     // Charge the instruction's cost weight: 1 straight from lowering, or
     // the folded weight of optimized-away neighbours, so simulated time
     // and instruction accounting match the unoptimized program exactly.
-    if (Counts.ClientInstrs + Counts.ServerInstrs + I.Units >
-        Opts.MaxInstructions) {
+    if (instrsSoFar() + I.Units > Opts.MaxInstructions) {
       fail("instruction budget exceeded",
            ExecResult::FailureKind::InstructionLimit);
       break;
     }
     Sim.execInstructions(OnServer, I.Units);
-    TaskInstrCounts[CurrentTask] += I.Units;
-    SegInstrs += I.Units;
     if (!execInstr(I) && !rollback())
       break;
   }
   recEndSegment();
+  flushTaskInstrs();
 
   Result.OK = !Failed;
   Result.Time = Sim.elapsed();
@@ -1702,11 +1672,11 @@ ExecResult Machine::run() {
   // A run still sitting in the probing fallback at exit finished on the
   // client, exactly like a permanent degrade.
   Result.Degraded = Degraded || LocalFallback;
-  Result.FinalChoice = (Degraded || LocalFallback) ? KNone : Choice;
+  Result.FinalChoice = clientOnly() ? KNone : Choice;
   for (unsigned T = 0; T != TaskInstrCounts.size(); ++T)
     if (TaskInstrCounts[T])
       Result.TaskInstrs[T] = TaskInstrCounts[T];
-  Span.arg("instructions", Counts.ClientInstrs + Counts.ServerInstrs);
+  Span.arg("instructions", instrsSoFar());
   Span.arg("transfers", Result.TransferCount);
   Span.arg("migrations", Result.Migrations);
   if (Rec)

@@ -27,13 +27,13 @@
 
 namespace paco {
 
-/// How the run may adapt its partitioning after dispatch.
+/// How the run may adapt its partitioning after dispatch. A run that
+/// keeps its dispatched choice for good is ReactOnFailure under
+/// FaultPolicy::RetryOnly (or FailFast): a message that exhausts its
+/// retries then fails the run instead of degrading.
 enum class AdaptationPolicy {
-  /// The dispatched choice is final; a link failure that exhausts its
-  /// retries fails the run even under FaultPolicy::DegradeToLocal.
-  Static,
-  /// The PR-1 behavior: adapt only by degrading to all-client execution
-  /// when a message exhausts its retries (per FaultPolicy).
+  /// Adapt only by degrading to all-client execution when a message
+  /// exhausts its retries (per FaultPolicy).
   ReactOnFailure,
   /// Full closed loop: profile the live link and server online, detect
   /// when the environment has drifted across a partitioning-region
@@ -136,7 +136,7 @@ struct ExecResult : RunCounters {
     LinkFailure,      ///< A message exhausted its retries and the policy
                       ///< forbade degrading to local execution.
     ServerCrash,      ///< The server process died and the policy had no
-                      ///< recovery path (FailFast/RetryOnly/Static).
+                      ///< recovery path (FailFast/RetryOnly).
     BadInput,         ///< Program-level fault (bad pointer, div by zero,
                       ///< missing main, analysis bug, ...).
   };

@@ -33,14 +33,14 @@ void paco::appendRunLog(obs::EventLog &Log, const CompiledProgram &CP,
                         const RuntimeRecorder &Rec) {
   using obs::LogLevel;
   // Starts one event at simulated time \p At, stamped with the exact
-  // (Rational) time and the task active then; fields chain onto it.
+  // (Rational) time and the task active then, if any (none is before the
+  // entry task, at run start); fields chain onto it.
   auto event = [&](LogLevel L, const char *Type, const Rational &At,
                    unsigned Task) {
     obs::EventLog::EventBuilder B = Log.event(L, Type);
     B.field("t_units", At.toString());
-    B.field("task", Task);
-    if (Task < CP.Graph.Tasks.size())
-      B.field("task_label", CP.Graph.Tasks[Task].Label);
+    if (Task != KNone)
+      B.field("task", Task).field("task_label", CP.Graph.Tasks[Task].Label);
     return B;
   };
   auto locName = [&](unsigned LocId) {

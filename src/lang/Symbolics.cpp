@@ -186,8 +186,12 @@ private:
   SymbolicInfo Info;
 
   std::set<const VarDecl *> AddressTakenVars;
-  std::set<const FuncDecl *> AddressTakenFuncs;
-  std::map<const FuncDecl *, std::set<const FuncDecl *>> Callees;
+  /// Each function's position in Prog.Functions. The call-graph sets hold
+  /// these, so their walks, which fix when monomials are interned (and so
+  /// the ParamIds), follow declaration order, not AST addresses.
+  std::map<const FuncDecl *, unsigned> DeclIndex;
+  std::set<unsigned> AddressTakenFuncs;
+  std::vector<std::set<unsigned>> Callees; ///< Per caller.
   /// Argument bindings accumulated from call sites; the inner optional is
   /// empty once two call sites disagree or a value is not expressible.
   std::map<const FuncDecl *, std::vector<std::optional<LinExpr>>> ArgValues;
@@ -233,8 +237,8 @@ SymbolicInfo SymbolicAnalyzer::run() {
     Visited.insert(F);
     OnStack.insert(F);
     Stack.push_back({F, true});
-    for (const FuncDecl *Callee : Callees[F])
-      Stack.push_back({Callee, false});
+    for (unsigned Callee : Callees[DeclIndex.at(F)])
+      Stack.push_back({Prog.Functions[Callee].get(), false});
   }
   std::reverse(Order.begin(), Order.end()); // callers before callees
 
@@ -279,14 +283,15 @@ void SymbolicAnalyzer::collectProgramFacts() {
       case Expr::Kind::VarRef: {
         const auto *Ref = static_cast<const VarRefExpr *>(E);
         if (Ref->Function)
-          A.AddressTakenFuncs.insert(Ref->Function);
+          A.AddressTakenFuncs.insert(A.DeclIndex.at(Ref->Function));
         return;
       }
       case Expr::Kind::Call: {
         const auto *C = static_cast<const CallExpr *>(E);
         const auto *Callee = static_cast<const VarRefExpr *>(C->Callee.get());
         if (Callee->Function)
-          A.Callees[Current].insert(Callee->Function);
+          A.Callees[A.DeclIndex.at(Current)].insert(
+              A.DeclIndex.at(Callee->Function));
         else if (C->BuiltinKind == CallExpr::Builtin::None)
           HasIndirectCall.insert(Current);
         // Note: the callee VarRef is deliberately not visited, so naming
@@ -368,6 +373,9 @@ void SymbolicAnalyzer::collectProgramFacts() {
       }
     }
   };
+  for (unsigned F = 0; F != Prog.Functions.size(); ++F)
+    DeclIndex[Prog.Functions[F].get()] = F;
+  Callees.resize(Prog.Functions.size());
   Collector C{*this, nullptr, {}};
   for (const auto &F : Prog.Functions) {
     C.Current = F.get();
@@ -376,8 +384,8 @@ void SymbolicAnalyzer::collectProgramFacts() {
   // An indirect call can reach any address-taken function; give the call
   // graph those edges so the processing order still visits callers first.
   for (const FuncDecl *Caller : C.HasIndirectCall)
-    for (const FuncDecl *Target : AddressTakenFuncs)
-      Callees[Caller].insert(Target);
+    Callees[DeclIndex.at(Caller)].insert(AddressTakenFuncs.begin(),
+                                         AddressTakenFuncs.end());
 }
 
 LinExpr SymbolicAnalyzer::makeDummy(const std::string &Kind, SourceLoc Loc,
@@ -588,8 +596,8 @@ void SymbolicAnalyzer::applyExprEffects(const Expr *E, Env &Environment,
       recordCall(Callee->Function, C->Args, Environment, Count);
     } else {
       // Indirect call: any address-taken function may run.
-      for (const FuncDecl *Target : AddressTakenFuncs)
-        recordCall(Target, {}, Environment, Count);
+      for (unsigned Target : AddressTakenFuncs)
+        recordCall(Prog.Functions[Target].get(), {}, Environment, Count);
     }
     killVars(Environment, {}, /*Globals=*/true, /*AddressTaken=*/true);
     return;

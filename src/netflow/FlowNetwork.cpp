@@ -6,23 +6,10 @@
 
 #include "netflow/FlowNetwork.h"
 
-#include "obs/Stats.h"
-
 #include <algorithm>
 #include <limits>
 
 using namespace paco;
-
-namespace {
-// Registered at static-init time (single-threaded) so the registry's
-// registration order -- and therefore snapshot emission order -- stays
-// deterministic even though first solves race across pool threads.
-obs::Counter &Solves = obs::StatsRegistry::global().counter("netflow.solves");
-obs::Counter &FastSolves =
-    obs::StatsRegistry::global().counter("netflow.fast_path_solves");
-obs::Counter &BigSolves =
-    obs::StatsRegistry::global().counter("netflow.bigint_solves");
-} // namespace
 
 void Capacity::accumulate(const Capacity &Other) {
   if (Other.Infinite)
@@ -247,9 +234,6 @@ CutStructure paco::solveMinCutStructure(const FlowNetwork &Net,
   bool FastPath =
       !ForceBigInt && FiniteTotal.fitsInt64() &&
       FiniteTotal.toInt64() <= std::numeric_limits<int64_t>::max() / 4;
-
-  Solves.add();
-  (FastPath ? FastSolves : BigSolves).add();
 
   CutStructure Result;
   if (FastPath) {

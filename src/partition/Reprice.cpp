@@ -8,6 +8,38 @@
 
 using namespace paco;
 
+std::vector<ItemTransfer>
+paco::edgeTransfers(const PartitionProblem &Problem,
+                    const ParametricResult &Partition, unsigned Choice,
+                    unsigned U, unsigned V) {
+  auto value = [&](NodeId N) { return Partition.nodeValue(Choice, N); };
+  std::vector<ItemTransfer> Moves;
+  // U's validity groups in ascending item order; each item with a group
+  // at V too can move on the edge.
+  for (auto UIt = Problem.VNodes.lower_bound({U, 0});
+       UIt != Problem.VNodes.end() && UIt->first.first == U; ++UIt) {
+    unsigned D = UIt->first.second;
+    auto VIt = Problem.VNodes.find({V, D});
+    if (VIt == Problem.VNodes.end())
+      continue;
+    const ValidityNodes &UN = UIt->second, &VN = VIt->second;
+    if (value(VN.Vsi) && !value(UN.Vso))
+      Moves.push_back({D, /*ToServer=*/true});
+    if (value(UN.NVco) && !value(VN.NVci))
+      Moves.push_back({D, /*ToServer=*/false});
+  }
+  return Moves;
+}
+
+bool paco::registersItem(const PartitionProblem &Problem,
+                         const ParametricResult &Partition, unsigned Choice,
+                         unsigned D) {
+  auto It = Problem.AccessNodes.find(D);
+  return It != Problem.AccessNodes.end() &&
+         Partition.nodeValue(Choice, It->second.first) &&
+         !Partition.nodeValue(Choice, It->second.second);
+}
+
 std::vector<PricedArc> paco::pricedArcs(const TCFG &Graph,
                                         const MemoryModel &Memory,
                                         const PartitionProblem &Problem,
@@ -18,7 +50,6 @@ std::vector<PricedArc> paco::pricedArcs(const TCFG &Graph,
   auto onServer = [&](unsigned Task) {
     return Choice != KNone && Partition.Choices[Choice].TaskOnServer[Task];
   };
-  auto value = [&](NodeId N) { return Partition.nodeValue(Choice, N); };
   using Kind = PricedArc::Kind;
 
   // Computation: every task runs at its host's rate.
@@ -38,38 +69,13 @@ std::vector<PricedArc> paco::pricedArcs(const TCFG &Graph,
     // Scheduling arcs M(v)->M(u) (c2s) / M(u)->M(v) (s2c).
     if (MU != MV)
       Arcs.push_back({Kind::Schedule, U, V, KNone, MV, Count, {}});
-    // The data items with validity nodes at both ends: VNodes is sorted by
-    // (task, item), so merge U's and V's runs by item.
-    auto UIt = Problem.VNodes.lower_bound({U, 0});
-    auto UEnd = Problem.VNodes.lower_bound({U + 1, 0});
-    auto VIt = Problem.VNodes.lower_bound({V, 0});
-    auto VEnd = Problem.VNodes.lower_bound({V + 1, 0});
-    while (UIt != UEnd && VIt != VEnd) {
-      unsigned D = UIt->first.second;
-      if (D != VIt->first.second) {
-        if (D < VIt->first.second)
-          ++UIt;
-        else
-          ++VIt;
-        continue;
-      }
-      const ValidityNodes &UN = (UIt++)->second, &VN = (VIt++)->second;
-      // Arc Vsi(v)->Vso(u): cut when Vsi(v)=1 and Vso(u)=0. Arc
-      // nVco(u)->nVci(v): cut when nVco(u)=1 and nVci(v)=0.
-      bool ToServer = value(VN.Vsi) && !value(UN.Vso);
-      bool ToClient = value(UN.NVco) && !value(VN.NVci);
-      if (!ToServer && !ToClient)
-        continue;
-      Rational Bytes = Memory.byteSize(D).evaluate(Point);
-      if (ToServer)
-        Arcs.push_back({Kind::Transfer, U, V, D, true, Count, Bytes});
-      if (ToClient)
-        Arcs.push_back({Kind::Transfer, U, V, D, false, Count, Bytes});
-    }
+    for (const ItemTransfer &T :
+         edgeTransfers(Problem, Partition, Choice, U, V))
+      Arcs.push_back({Kind::Transfer, U, V, T.Item, T.ToServer, Count,
+                      Memory.byteSize(T.Item).evaluate(Point)});
   }
-  // Registration arcs Ns(d)->nNc(d): cut when Ns=1 and nNc=0.
   for (const auto &[D, Nodes] : Problem.AccessNodes)
-    if (value(Nodes.first) && !value(Nodes.second))
+    if (registersItem(Problem, Partition, Choice, D))
       Arcs.push_back({Kind::Registration, KNone, KNone, D, true,
                       Memory.loc(D).AllocCount.evaluate(Point), {}});
   return Arcs;

@@ -51,6 +51,31 @@ struct PricedArc {
   Rational Bytes; ///< Transfer: the item's size.
 };
 
+/// One data movement on a TCFG edge: item Item becomes valid on the
+/// ToServer host.
+struct ItemTransfer {
+  unsigned Item = KNone;
+  bool ToServer = false;
+};
+
+/// The transfers the validity states of \p Choice (not KNone) dictate on
+/// TCFG edge (\p U, \p V), in ascending item order, client-to-server
+/// first for an item: client-to-server when Vsi(v) && !Vso(u) (the arc
+/// Vsi(v)->Vso(u) is cut), server-to-client when nVco(u) && !nVci(v) (the
+/// arc nVco(u)->nVci(v) is cut). pricedArcs prices exactly these and the
+/// interpreter sends exactly these.
+std::vector<ItemTransfer> edgeTransfers(const PartitionProblem &Problem,
+                                        const ParametricResult &Partition,
+                                        unsigned Choice, unsigned U,
+                                        unsigned V);
+
+/// Whether the cut of \p Choice (not KNone) registers dynamic data item
+/// \p D on both hosts: the arc Ns(d)->nNc(d) is cut, Ns && !nNc. False
+/// for an item without access nodes.
+bool registersItem(const PartitionProblem &Problem,
+                   const ParametricResult &Partition, unsigned Choice,
+                   unsigned D);
+
 /// The arcs the cut of \p Choice (an index into \p Partition's choices,
 /// or KNone for the all-client baseline, which prices computation only)
 /// prices at full-space parameter point \p Point: one compute arc per

@@ -152,10 +152,11 @@ TEST(AdaptationTest, ClosedLoopBeatsStaticAndLocalUnderBandwidthCollapse) {
   EXPECT_EQ(LocalDrift.Time, Local.Time);
   EXPECT_EQ(LocalDrift.Outputs, Local.Outputs);
 
-  // Static policy: committed to the initial partition, drift or not.
+  // Static policy (retry-only): committed to the initial partition,
+  // drift or not.
   ExecOptions StaticOpts = baseOpts(ExecOptions::Placement::Dispatch);
   StaticOpts.Drift = Drift;
-  StaticOpts.Adapt.Policy = AdaptationPolicy::Static;
+  StaticOpts.OnLinkFailure = FaultPolicy::RetryOnly;
   ExecResult Static = runProgram(*CP, StaticOpts);
   ASSERT_TRUE(Static.OK) << Static.Error;
   EXPECT_EQ(Static.ChoiceUsed, Fast.ChoiceUsed);
@@ -265,8 +266,7 @@ TEST(AdaptationTest, StaticPolicyDisablesTheDegradeBackstop) {
 
   ExecOptions StaticOpts = baseOpts(ExecOptions::Placement::Dispatch);
   StaticOpts.Link = Dead;
-  StaticOpts.Adapt.Policy = AdaptationPolicy::Static;
-  StaticOpts.OnLinkFailure = FaultPolicy::DegradeToLocal; // overridden
+  StaticOpts.OnLinkFailure = FaultPolicy::RetryOnly; // no degrade backstop
   ExecResult Static = runProgram(*CP, StaticOpts);
   EXPECT_FALSE(Static.OK);
   EXPECT_EQ(Static.Failure, ExecResult::FailureKind::LinkFailure);

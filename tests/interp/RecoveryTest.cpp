@@ -496,7 +496,7 @@ TEST(RecoveryTest, CrashUnderDriftStillRecoversAndReoffloads) {
   Opts.Drift = Degrade4x;
 
   ExecOptions Static = Opts;
-  Static.Adapt.Policy = AdaptationPolicy::Static;
+  Static.OnLinkFailure = FaultPolicy::RetryOnly;
   EXPECT_FALSE(runProgram(*CP, Static).OK);
 
   Opts.Adapt = probingClosedLoop();
@@ -564,7 +564,7 @@ TEST(RecoveryTest, StaticPolicyHasNoRecoveryPathFromACrash) {
   ASSERT_TRUE(Fast.OK) << Fast.Error;
 
   ExecOptions StaticOpts = baseOpts(ExecOptions::Placement::Dispatch);
-  StaticOpts.Adapt.Policy = AdaptationPolicy::Static;
+  StaticOpts.OnLinkFailure = FaultPolicy::RetryOnly;
   StaticOpts.Crash = crashAt(Fast.Time * Rational::fraction(1, 2));
   ExecResult Static = runProgram(*CP, StaticOpts);
   EXPECT_FALSE(Static.OK);

@@ -3,13 +3,49 @@
 #include "programs/Programs.h"
 
 #include "interp/Interp.h"
+#include "lang/AST.h"
+#include "transform/Transform.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 using namespace paco;
 using namespace paco::programs;
 
 namespace {
+
+/// A heap that places a compile's functions in a chosen address order:
+/// while armed, blocks of FuncDecl's size come from a fresh segment of a
+/// static pool at rising or falling addresses, never reused; everything
+/// else comes from malloc.
+namespace ordered_heap {
+constexpr size_t Slot = (sizeof(FuncDecl) + 15) / 16 * 16, Slots = 8192;
+alignas(16) unsigned char Pool[10 * Slots * Slot];
+unsigned char *Segment = nullptr;
+bool Falling = false;
+std::atomic<bool> Armed{false};
+std::atomic<size_t> Taken{0};
+
+void arm(bool FallingOrder) {
+  Segment = Segment ? Segment + Slots * Slot : Pool;
+  ASSERT_LT(Segment, std::end(Pool));
+  Falling = FallingOrder;
+  Taken = 0;
+  Armed = true;
+}
+
+void *take(size_t Bytes) {
+  size_t I = Bytes == sizeof(FuncDecl) && Armed ? Taken++ : Slots;
+  return I < Slots ? Segment + (Falling ? Slots - 1 - I : I) * Slot : nullptr;
+}
+
+bool owns(const void *P) {
+  return P >= Pool && P < std::end(Pool);
+}
+} // namespace ordered_heap
 
 /// Compiles each benchmark once per process: the parametric analysis of
 /// the larger programs is deliberately heavy (Table 4 measures it).
@@ -224,4 +260,61 @@ TEST(ProgramsTest, DistributedRunsMatchLocalOnAllPrograms) {
   }
 }
 
+/// What one compile must reproduce byte for byte: the choices with their
+/// regions, the transformed program, and the solver's work counters.
+std::string compileSnapshot(const CompiledProgram &CP) {
+  const ParametricResult &R = CP.Partition;
+  std::string Text = R.describe(CP.Space, CP.Graph);
+  Text += renderTransformedProgram(CP);
+  for (unsigned Count : {R.FullNodes, R.FullArcs, R.SolvedNodes,
+                         R.SolvedArcs, R.FlowSolves, R.PointCacheHits,
+                         R.CutSignatureHits, R.FastPathSolves, R.BigIntSolves})
+    Text += " " + std::to_string(Count);
+  return Text;
+}
+
+TEST(ProgramsTest, CompilesDoNotDependOnHeapAddresses) {
+  // Analysis order must follow the program, not where its AST landed:
+  // compile the five non-susan programs on the plain heap, then again
+  // with each program's functions at rising and at falling addresses,
+  // keeping every compile alive.
+  const char *Names[] = {"rawcaudio", "rawdaudio", "encode", "decode", "fft"};
+  std::vector<std::shared_ptr<CompiledProgram>> Alive;
+  std::vector<std::string> First;
+  for (unsigned Pass = 0; Pass != 3; ++Pass) {
+    for (unsigned P = 0; P != std::size(Names); ++P) {
+      if (Pass)
+        ordered_heap::arm(/*FallingOrder=*/Pass == 2);
+      std::string Diags;
+      auto CP = compileForOffloading(programByName(Names[P]).Source,
+                                     CostModel::defaults(), {}, &Diags);
+      ordered_heap::Armed = false;
+      ASSERT_TRUE(CP != nullptr) << Names[P] << ":\n" << Diags;
+      for (const auto &F : CP->AST->Functions)
+        EXPECT_EQ(ordered_heap::owns(F.get()), Pass != 0) << F->Name;
+      std::string Snapshot = compileSnapshot(*CP);
+      if (Pass == 0)
+        First.push_back(std::move(Snapshot));
+      else
+        EXPECT_EQ(Snapshot, First[P]) << Names[P] << ", pass " << Pass;
+      Alive.push_back(std::move(CP));
+    }
+  }
+}
+
 } // namespace
+
+void *operator new(size_t Bytes) {
+  if (void *P = ordered_heap::take(Bytes))
+    return P;
+  if (void *P = std::malloc(Bytes ? Bytes : 1))
+    return P;
+  throw std::bad_alloc();
+}
+
+void operator delete(void *P) noexcept {
+  if (!ordered_heap::owns(P))
+    std::free(P);
+}
+
+void operator delete(void *P, size_t) noexcept { operator delete(P); }
